@@ -28,9 +28,10 @@ from .analytic import (digamma_xf_residual_params, feofg_residual_params,
                        mellin_pair_check, modularity_residual, reduction_check)
 from .dirichlet import characters, root_number, trig_coeffs
 from .errors import (ConvergenceError, DegenerateError, InconclusiveError,
-                     InvariantError, IsolationError, MissingPrimeError,
-                     NearZeroError, NotPrimeError, ParseError, PoleError,
-                     PrincipalError, SingularError, TailError)
+                     InvariantError, IsolationError, LtwistError,
+                     MissingPrimeError, NearZeroError, NotPrimeError,
+                     ParseError, PoleError, PoleSampleError, PrincipalError,
+                     SingularError, TailError)
 from .forms import parse_fixture
 from .precision import PrecisionContext
 from .series import (TwistSpec, c_coeffs, eval_series, lambda_table,
@@ -112,21 +113,29 @@ def load_form(form_path, ctx):
     return parse_fixture(text, ctx).form
 
 
+# Exit code per failure class, looked up along the raised class's MRO:
+# 2 = bad input, 3 = numerically inconclusive.  LtwistError itself catches
+# any subclass not listed, so the taxonomy never escapes as exit 1, which
+# means "residual exceeded its threshold".
+EXIT_CODES = {
+    ValueError: 2, ParseError: 2, InvariantError: 2, NotPrimeError: 2,
+    MissingPrimeError: 2, PrincipalError: 2,
+    LtwistError: 3, ConvergenceError: 3, TailError: 3, NearZeroError: 3,
+    IsolationError: 3, DegenerateError: 3, PoleError: 3, SingularError: 3,
+    InconclusiveError: 3, PoleSampleError: 3,
+}
+
+
 def guarded(body):
     """Map the library's failure taxonomy onto the exit-code contract."""
     try:
         return body()
-    except click.UsageError:
-        raise
-    except (ParseError, InvariantError, NotPrimeError, MissingPrimeError,
-            PrincipalError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except (ConvergenceError, TailError, NearZeroError, IsolationError,
-            DegenerateError, PoleError, SingularError,
-            InconclusiveError) as exc:
-        click.echo(f"inconclusive: {exc}", err=True)
-        return 3
+    except (LtwistError, ValueError) as exc:
+        code = next(EXIT_CODES[c] for c in type(exc).__mro__
+                    if c in EXIT_CODES)
+        label = "error" if code == 2 else "inconclusive"
+        click.echo(f"{label}: {exc}", err=True)
+        return code
 
 
 def header(label, ctx, threads):

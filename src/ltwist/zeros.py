@@ -9,7 +9,10 @@ where J_f(s) is the Mellin integral, from the involution's fixed height
 odd weight-0 forms -- which vanish there -- of the normalized x-derivative
 of that restriction, shifting the Mellin exponent by one).  Both integrals
 converge like exp(-2 pi y), so the split representation is entire in s and
-derivatives come from differentiating under the integral sign.
+derivatives come from differentiating under the integral sign.  Every caller
+asks for a jet [Lambda(s), Lambda'(s), ..., Lambda^(m)(s)]: one sweep over
+each integral's quadrature nodes per point, one complex exponential per node,
+yields the moments of all orders at once.
 
 On top of that sit: residuals of the differentiated functional equation, a
 critical-strip zero scanner whose multiplicity certificates are
@@ -121,8 +124,10 @@ _GL_DEGREE = 48
 class _SplitKernel:
     """Fixed quadrature nodes on [1/sqrt(N), y_top] with cached kernel values.
 
-    Every Lambda evaluation is then a weighted power sum over these nodes;
-    the expensive K-Bessel sums are paid once per (form, precision).
+    Each node stores its weighted kernel value w*h and log y, so every Lambda
+    evaluation is one sweep of power sums over these nodes: a single complex
+    exponential per node serves the moments of every order.  The expensive
+    K-Bessel sums are paid once per (form, precision).
     """
 
     def __init__(self, f: MaassForm, ctx: PrecisionContext):
@@ -163,19 +168,20 @@ class _SplitKernel:
             mid, half = (lo + hi) / 2, (hi - lo) / 2
             for x, w in zip(gl_x, gl_w):
                 y = mid + half * x
-                nodes.append((w * half, kernel_value(y), mp.log(y)))
+                nodes.append((w * half * kernel_value(y), mp.log(y)))
         self.nodes = nodes
 
-    def mellin(self, s, order: int):
-        """d^order/ds^order of  int h(y) y^(s - 1/2 + delta) dy/y."""
+    def mellin(self, s, m: int):
+        """[d^k/ds^k of  int h(y) y^(s - 1/2 + delta) dy/y  for k = 0..m],
+        from one sweep over the nodes."""
         w = s - mp.mpf(1) / 2 + self.delta - 1
-        total = mp.mpc(0)
-        for weight, h, logy in self.nodes:
-            term = weight * h * mp.exp(w * logy)
-            if order:
-                term *= logy ** order
-            total += term
-        return total
+        sums = [mp.mpc(0)] * (m + 1)
+        for wh, logy in self.nodes:
+            term = wh * mp.exp(w * logy)
+            sums[0] += term
+            for k in range(1, m + 1):
+                sums[k] += term * logy ** k
+        return sums
 
 
 def _get_kernel(f: MaassForm, ctx: PrecisionContext) -> _SplitKernel:
@@ -186,10 +192,14 @@ def _get_kernel(f: MaassForm, ctx: PrecisionContext) -> _SplitKernel:
 
 
 def _make_evaluator(f: MaassForm, ctx: PrecisionContext):
-    """Closure ev(s, order) -> d^order/ds^order Lambda_f(s) as mpc.
+    """Closure jet(s, m) -> [Lambda_f(s), Lambda_f'(s), ..., Lambda_f^(m)(s)]
+    as mpc.
 
-    Hoists the kernel-cache lookups (hashing a form is not free) and the
-    constant part of the root-number phase out of the evaluation path.
+    One Mellin sweep per kernel side serves every order; each order is then
+    the Leibniz combination of the form's moments with the dual's moments at
+    1 - s times the root-number phase.  Hoists the kernel-cache lookups
+    (hashing a form is not free) and the constant part of that phase out of
+    the evaluation path.
     """
     kf = _get_kernel(f, ctx)
     kd = kf if _is_self_dual(f) else _get_kernel(dual_form(f), ctx)
@@ -197,15 +207,19 @@ def _make_evaluator(f: MaassForm, ctx: PrecisionContext):
     front = f.eta.mpc(ctx) * (f.eps if f.weight == 0 else 1)
     half = mp.mpf(1) / 2
 
-    def ev(s, order=0):
+    def jet(s, m):
         phase = front * mp.power(f.level, half - s)
-        total = kf.mellin(s, order)
-        for i in range(order + 1):
-            total += (mp.binomial(order, i) * (-log_n) ** i * phase
-                      * (-1) ** (order - i) * kd.mellin(1 - s, order - i))
-        return total
+        near, far = kf.mellin(s, m), kd.mellin(1 - s, m)
+        out = []
+        for order in range(m + 1):
+            total = near[order]
+            for i in range(order + 1):
+                total += (mp.binomial(order, i) * (-log_n) ** i * phase
+                          * (-1) ** (order - i) * far[order - i])
+            out.append(total)
+        return out
 
-    return ev
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +231,7 @@ def lambda_complete(f: MaassForm, s,
     """The completed L-function Lambda_f(s), entire in s."""
     ctx = ctx or default_context()
     with ctx.workprec():
-        return _param_from_mpc(_make_evaluator(f, ctx)(to_mpc(s, ctx), 0))
+        return _param_from_mpc(_make_evaluator(f, ctx)(to_mpc(s, ctx), 0)[0])
 
 
 def lambda_derivs(f: MaassForm, s, order: int,
@@ -230,7 +244,7 @@ def lambda_derivs(f: MaassForm, s, order: int,
     ctx = ctx or default_context()
     with ctx.workprec():
         return _param_from_mpc(
-            _make_evaluator(f, ctx)(to_mpc(s, ctx), order))
+            _make_evaluator(f, ctx)(to_mpc(s, ctx), order)[order])
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +276,11 @@ def feofd_residual(f: MaassForm, s,
         floor = 10 * ctx.tol
 
         def delta_parts(form, point):
-            ev = _make_evaluator(form, ctx)
-            v = ev(point, 0)
+            v, d1, d2 = _make_evaluator(form, ctx)(point, 2)
             if abs(v) <= floor:
                 raise NearZeroError(
                     f"|Lambda({mp.nstr(point, 8)})| = {mp.nstr(abs(v), 3)} "
                     f"is within 10x tolerance of a zero; resample s")
-            d1, d2 = ev(point, 1), ev(point, 2)
             log_dd = d2 / v - (d1 / v) ** 2
             psi = _psi_prime(form.weight, form.eps, form.nu.mpc(ctx), point)
             return v, v * log_dd - psi * v, psi
@@ -341,7 +353,7 @@ def report_csv(report: ScanReport) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _winding_number(ev, x0, x1, t_lo, t_hi):
+def _winding_number(jet, x0, x1, t_lo, t_hi):
     """Argument-principle count of zeros of Lambda inside a rectangle, by
     Gauss-Legendre quadrature of Lambda'/Lambda along the boundary.
 
@@ -365,11 +377,11 @@ def _winding_number(ev, x0, x1, t_lo, t_hi):
                 mid, half = (lo + hi) / 2, (hi - lo) / 2
                 for x, w in zip(gl_x, gl_w):
                     s = mid + half * x
-                    v = ev(s, 0)
+                    v, d = jet(s, 1)
                     if v == 0:
                         degenerate = True
                         break
-                    total += w * half * ev(s, 1) / v
+                    total += w * half * d / v
                 if degenerate:
                     break
             if degenerate:
@@ -414,7 +426,7 @@ def scan_zeros(f: MaassForm, t0, t1, step,
         raise ValueError("re_halfwidth must lie in (0, 0.4]")
 
     with ctx.workprec():
-        ev = _make_evaluator(f, ctx)
+        jet = _make_evaluator(f, ctx)
         gspec = GammaFactorSpec.from_form(f, 1)
         half = mp.mpf(1) / 2
 
@@ -422,7 +434,7 @@ def scan_zeros(f: MaassForm, t0, t1, step,
             return abs(gamma_factor(gspec, mp.mpc(half, t), ctx))
 
         def sample(t):
-            return ev(mp.mpc(half, t), 0) / gamma_mag(t)
+            return jet(mp.mpc(half, t), 0)[0] / gamma_mag(t)
 
         n_steps = max(1, int(math.ceil((t1 - t0) / step)))
         grid = [mp.mpf(t0) + (mp.mpf(t1) - mp.mpf(t0)) * i / n_steps
@@ -488,19 +500,17 @@ def scan_zeros(f: MaassForm, t0, t1, step,
             center = mp.mpc(half, (mp.mpf(lo) + mp.mpf(hi)) / 2)
             tol_used = float(ctx.tol * gamma_mag(mp.im(center)))
             s = center
+            v, d = jet(s, 1)
             for _ in range(80):
-                v = ev(s, 0)
-                if abs(v) <= tol_used * 1e-6:
-                    break
-                d = ev(s, 1)
-                if d == 0:
+                if abs(v) <= tol_used * 1e-6 or d == 0:
                     break
                 s_next = s - v / d
                 if abs(s_next - center) > 2 * (hi - lo) + 1:
                     break
                 s = s_next
-            final = abs(ev(s, 0))
-            lpa = float(abs(ev(s, 1)))
+                v, d = jet(s, 1)
+            final = abs(v)
+            lpa = float(abs(d))
             if final > tol_used or lpa <= 10 * tol_used:
                 trouble.append(("certificate failed", lo, hi))
                 return
@@ -511,9 +521,9 @@ def scan_zeros(f: MaassForm, t0, t1, step,
                 tol_used=tol_used))
 
         def resolve(lo, hi, depth=0):
-            count, _ = _winding_number(ev, x0, x1, mp.mpf(lo), mp.mpf(hi))
+            count, _ = _winding_number(jet, x0, x1, mp.mpf(lo), mp.mpf(hi))
             if count is None:
-                count, _ = _winding_number(ev, x0, x1,
+                count, _ = _winding_number(jet, x0, x1,
                                            mp.mpf(lo) - step / 7,
                                            mp.mpf(hi) + step / 7)
             if count is None:
@@ -536,7 +546,7 @@ def scan_zeros(f: MaassForm, t0, t1, step,
         for lo, hi in spans:
             resolve(lo, hi)
 
-        total, _ = _winding_number(ev, x0, x1, mp.mpf(bottom), mp.mpf(t1))
+        total, _ = _winding_number(jet, x0, x1, mp.mpf(bottom), mp.mpf(t1))
         records.sort(key=lambda z: z.rho.im)
         report = ScanReport((t0, t1), tuple(records),
                             -1 if total is None else total)
@@ -558,16 +568,16 @@ def scan_zeros(f: MaassForm, t0, t1, step,
 # residue of the completed D-avatar at a simple zero
 # ---------------------------------------------------------------------------
 
-def _delta_contour(ev, rho, r, points):
+def _delta_contour(jet, rho, r, points):
     """(1/2 pi i) of the contour integral of Lambda (log Lambda)'' around
-    |s - rho| = r, by the periodic trapezoid rule.  `ev(s, order)` supplies
+    |s - rho| = r, by the periodic trapezoid rule.  `jet(s, 2)` supplies
     the function and its first two derivatives."""
     total = mp.mpc(0)
     for j in range(points):
         w = mp.exp(mp.mpc(0, 2) * mp.pi * j / points)
         s = rho + r * w
-        v = ev(s, 0)
-        total += (ev(s, 2) - ev(s, 1) ** 2 / v) * w
+        v, d1, d2 = jet(s, 2)
+        total += (d2 - d1 ** 2 / v) * w
     return total * r / points
 
 
@@ -585,13 +595,13 @@ def delta_residue_check(f: MaassForm, rho: ZeroRecord,
     if points < 8:
         raise ValueError("need at least 8 contour points")
     with ctx.workprec():
-        ev = _make_evaluator(f, ctx)
+        jet = _make_evaluator(f, ctx)
         center = rho.rho.mpc(ctx)
         r = mp.mpf(min(rho.box[1])) / 2
         if r <= 0:
             raise ValueError("degenerate isolation box")
         nearby, _ = _winding_number(
-            ev, center.real - 2 * r, center.real + 2 * r,
+            jet, center.real - 2 * r, center.real + 2 * r,
             center.imag - 2 * r, center.imag + 2 * r)
         if nearby != 1:
             raise IsolationError(
@@ -599,8 +609,8 @@ def delta_residue_check(f: MaassForm, rho: ZeroRecord,
                 + ("quadrature unresolved" if nearby is None
                    else f"{nearby} zeros")
                 + f" within radius {float(2 * r):.4g} of the zero")
-        residue = _delta_contour(ev, center, r, points)
-        return float(abs(residue + ev(center, 1)))
+        residue = _delta_contour(jet, center, r, points)
+        return float(abs(residue + jet(center, 1)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +692,7 @@ def _taylor_contour(f: MaassForm, a: int, t: int, beta: Fraction, x_ratio,
     D_dual(s+t, beta, cos^(a)) x_ratio^(1/2-s) ds over a vertical line in
     the absolute-convergence region (trapezoid; exponentially accurate in
     the step, truncated where the gamma decay is ~1e-27)."""
-    key = (f, a, t, beta, mp.nstr(x_ratio, 30), mp.prec)
+    key = (f, a, t, beta, x_ratio, mp.prec)
     if key in _TAYLOR_CACHE:
         return _TAYLOR_CACHE[key]
 

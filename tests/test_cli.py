@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 from mpmath import mp
 
+from ltwist import errors
 from ltwist.cli import SuiteResult, main
 from ltwist.zeros import lambda_complete, report_jsonl, scan_zeros
 
@@ -205,6 +206,41 @@ def test_taylor_rejects_height_out_of_range(runner):
     result = runner.invoke(main, ["taylor", "--alpha", "1/5", "--T", "1",
                                   "--y", "0.2", "--form", FIXTURE])
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.LtwistError)),
+    key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_exits_2_or_3(runner, monkeypatch, cls):
+    """Exit 1 means "residual exceeded its threshold"; no library error may
+    escape as a traceback and read as that."""
+    exc = cls(7, "synthetic") if cls is errors.ParseError else cls("synthetic")
+
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("ltwist.cli.lambda_complete", boom)
+    result = runner.invoke(main, ["eval", "lambda", "--s", "1,1",
+                                  "--form", FIXTURE])
+    assert result.exit_code in (2, 3)
+
+
+def test_pole_sample_error_asks_for_resample(runner, monkeypatch):
+    def boom(*args, **kwargs):
+        raise errors.PoleSampleError("sample hits a pole; resample")
+
+    monkeypatch.setattr("ltwist.cli.lambda_complete", boom)
+    result = runner.invoke(main, ["eval", "lambda", "--s", "1,1",
+                                  "--form", FIXTURE])
+    assert result.exit_code == 3
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,44 @@ def test_derivative_order_cap(form_even, ctx):
         lambda_derivs(form_even, mp.mpf(2), 3, ctx)
 
 
+@pytest.mark.parametrize("s", [mp.mpc(0.8, 1.3), mp.mpc(-1, 5),
+                               mp.mpc(2, -3.5)], ids=str)
+def test_lambda_derivs_is_jet_entry(form_even, form_odd, ctx, s):
+    """The public per-order API reads one entry of the same jet, bit for
+    bit, on both fixtures and their duals."""
+    for _, f in both_forms(form_even, form_odd):
+        for g in (f, dual_form(f)):
+            with ctx.workprec():
+                jet = [zeros_mod._param_from_mpc(v)
+                       for v in zeros_mod._make_evaluator(g, ctx)(s, 2)]
+            for k in range(3):
+                assert lambda_derivs(g, s, k, ctx) == jet[k]
+
+
+def test_one_mellin_sweep_per_side_per_point(form_odd, ctx, monkeypatch):
+    """A winding node costs one sweep per kernel side for Lambda and
+    Lambda' together, and feofd one per side for orders 0-2."""
+    orders = []
+    sweep = zeros_mod._SplitKernel.mellin
+
+    def counted(self, s, m):
+        orders.append(m)
+        return sweep(self, s, m)
+
+    monkeypatch.setattr(zeros_mod._SplitKernel, "mellin", counted)
+    with ctx.workprec():
+        jet = zeros_mod._make_evaluator(form_odd, ctx)
+        count, quality = zeros_mod._winding_number(
+            jet, mp.mpf("0.4"), mp.mpf("0.6"), mp.mpf("3.4"), mp.mpf("3.6"))
+    assert count == 0 and quality < 0.15
+    nodes = 4 * 24  # four 0.2-long edges, one 24-point panel each
+    assert orders == [1] * (2 * nodes)
+
+    orders.clear()
+    feofd_residual(form_odd, mp.mpc(0.7, 2), ctx)
+    assert orders == [2] * 4
+
+
 # ---------------------------------------------------------------------------
 # functional equation of the completed D-avatar (log-derivative identity)
 
@@ -230,6 +268,28 @@ def test_report_serialization(scan_even_14):
         assert int(cells[2]) == record.winding
 
 
+# Report bodies of the shared [0, 14] scans at 128 bits, tol 1e-10, frozen
+# bit for bit: a faster evaluator must reproduce every digit.
+GOLDEN_JSONL = {
+    "even": (
+        '{"t": 2.897724678270776, "re_offset": 0.0, "winding": 1, '
+        '"lambda_prime_abs": 6.962135002203755e-10, '
+        '"tol": 5.434886883274785e-20}\n'
+        '{"t": 5.591245315319627, "re_offset": 0.0, "winding": 1, '
+        '"lambda_prime_abs": 6.1412638596083e-10, '
+        '"tol": 5.621943901884374e-20}\n'),
+    "odd": (
+        '{"t": 1.096046371794917e-37, "re_offset": 0.0, "winding": 1, '
+        '"lambda_prime_abs": 6.115849240122453e-07, '
+        '"tol": 7.717839933016786e-17}\n'),
+}
+
+
+def test_scan_reports_bit_identical(scan_even_14, scan_odd_14):
+    assert report_jsonl(scan_even_14) == GOLDEN_JSONL["even"]
+    assert report_jsonl(scan_odd_14) == GOLDEN_JSONL["odd"]
+
+
 def test_zero_record_rejects_zero_winding():
     with pytest.raises(ValueError):
         ZeroRecord(ComplexParam(Fraction(1, 2), Fraction(3)), 0, 1.0,
@@ -271,8 +331,11 @@ def test_delta_contour_synthetic_oracle(ctx):
             return expg * (1 + (s - rho0) * gp)
         return expg * (2 * gp + (s - rho0) * (mp.mpf(0.6) + gp * gp))
 
+    def jet(s, m):
+        return [ev(s, k) for k in range(m + 1)]
+
     with ctx.workprec():
-        value = zeros_mod._delta_contour(ev, rho0, mp.mpf(0.3), 64)
+        value = zeros_mod._delta_contour(jet, rho0, mp.mpf(0.3), 64)
         assert abs(value + ev(rho0, 1)) <= 1e-20
 
 
@@ -363,6 +426,48 @@ def test_taylor_contour_placement_invariance(form_even, ctx, monkeypatch):
     shifted = taylor_residual(*args)
     zeros_mod._TAYLOR_CACHE.clear()
     assert abs(base - shifted) <= 1e-18
+
+
+def test_taylor_contour_cache_keys_exact_height(form_even, monkeypatch):
+    """Heights that agree to 36 digits are still different heights: at
+    192 bits each gets its own contour, and a cached value equals a fresh
+    computation."""
+    monkeypatch.setattr(zeros_mod, "_TAYLOR_CACHE", {
+        key: value for key, value in zeros_mod._TAYLOR_CACHE.items()
+        if key[1] not in (0, 1)})
+    fine = PrecisionContext(work_bits=192, tol=1e-10)
+    beta = Fraction(-7, 3)
+    with fine.workprec():
+        x = mp.mpf(1) / 50
+        x_near = x * (1 + mp.mpf(2) ** -120)
+        assert mp.nstr(x, 30) == mp.nstr(x_near, 30)
+        first = zeros_mod._taylor_contour(form_even, 0, 0, beta, x, fine)
+        near = zeros_mod._taylor_contour(form_even, 0, 0, beta, x_near, fine)
+        assert near != first
+        zeros_mod._TAYLOR_CACHE.clear()
+        assert zeros_mod._taylor_contour(form_even, 0, 0, beta, x_near,
+                                         fine) == near
+
+
+def test_taylor_contour_cache_hits_across_truncation_orders(form_odd, ctx,
+                                                           monkeypatch):
+    """A T = 1, 2, 3 sweep at one height computes each (a, t) contour once;
+    the halved height computes its own."""
+    # the session's coefficient tables stay; contours of other tests do not
+    cache = {key: value for key, value in zeros_mod._TAYLOR_CACHE.items()
+             if key[1] not in (0, 1)}
+    monkeypatch.setattr(zeros_mod, "_TAYLOR_CACHE", cache)
+
+    def contours():
+        return sum(1 for key in cache if key[1] in (0, 1))
+
+    alpha = Fraction(3, 7)
+    y = alpha / 8
+    for T in (1, 2, 3):
+        taylor_residual(form_odd, alpha, y, T, ctx)
+    assert contours() == 6  # of 12 requests
+    taylor_residual(form_odd, alpha, y / 2, 1, ctx)
+    assert contours() == 8
 
 
 def test_taylor_input_validation(form_even, ctx):

@@ -21,6 +21,12 @@ simple zero, and the end-to-end dual-side Taylor residual, which compares
 the reflected D-series Fourier expansion against Mellin-Barnes integrals of
 the polynomial gamma-ratio factors times twisted D-series.
 
+Every winding box is symmetric about the critical line.  The reflection
+s -> 1 - conj(s) maps such a box onto itself, and the split representation
+gives Lambda'/Lambda(1 - conj s) = -log N - conj(Lambda'/Lambda(s)), so the
+jet is evaluated only at the quadrature nodes with Re s > 1/2; each left-hand
+node's term of the same Gauss-Legendre sum comes from its mirror image.
+
 Numerical policy: certified quantities are computed with mpmath at the
 context's working precision.  The only float64 shortcut is the bulk
 evaluation of truncated twisted D-series inside `taylor_residual` (absolute
@@ -105,9 +111,12 @@ def _uses_derivative_kernel(f: MaassForm) -> bool:
 
 def _is_self_dual(f: MaassForm) -> bool:
     """True when conjugating all coefficient data fixes the form's values,
-    so the dual shares the original's kernel cache."""
+    so the dual's kernel is the form's own.  The dual's nu is conj(nu):
+    real nu is fixed, and imaginary nu goes to -nu, which leaves the profile
+    unchanged only at weight 0 (K_nu = K_-nu); the weight-1 profile has
+    order nu +- 1/2 and is not even in nu."""
     return (f.eta.is_real
-            and (f.nu.re == 0 or f.nu.im == 0)
+            and (f.nu.im == 0 or (f.weight == 0 and f.nu.re == 0))
             and (f.xi.is_trivial or all(v.is_real for v in f.xi.table))
             and all(lam.is_real for _, lam in f.prime_coeffs))
 
@@ -185,9 +194,16 @@ class _SplitKernel:
 
 
 def _get_kernel(f: MaassForm, ctx: PrecisionContext) -> _SplitKernel:
+    """The cached kernel of f.  A self-dual form (see `_is_self_dual`) and
+    its dual differ at most in the sign of nu and share one kernel, so the
+    dual's key is served by the kernel of the one with Im nu >= 0 instead
+    of a second build."""
     key = (f, mp.prec)
     if key not in _KERNEL_CACHE:
-        _KERNEL_CACHE[key] = _SplitKernel(f, ctx)
+        if f.nu.im < 0 and _is_self_dual(f):
+            _KERNEL_CACHE[key] = _get_kernel(dual_form(f), ctx)
+        else:
+            _KERNEL_CACHE[key] = _SplitKernel(f, ctx)
     return _KERNEL_CACHE[key]
 
 
@@ -353,42 +369,65 @@ def report_csv(report: ScanReport) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _winding_number(jet, x0, x1, t_lo, t_hi):
-    """Argument-principle count of zeros of Lambda inside a rectangle, by
-    Gauss-Legendre quadrature of Lambda'/Lambda along the boundary.
+# Gauss-Legendre degree and longest panel of each retry rung (even degrees:
+# no node sits at a panel's midpoint).
+_WINDING_LADDER = ((24, "0.5"), (32, "0.25"), (40, "0.125"))
+
+
+def _mirrored_contour_sum(jet, log_n, halfwidth, t_lo, t_hi, degree,
+                          max_len):
+    """(1/2 pi i) of the Gauss-Legendre sum of g = Lambda'/Lambda around the
+    box |Re s - 1/2| <= halfwidth, t_lo <= Im s <= t_hi, evaluating the jet
+    only at nodes with Re s > 1/2; None when a node hits Lambda = 0.
+
+    The reflection R(s) = 1 - conj(s) maps the box onto itself with its
+    orientation reversed, so the node R(s) carries the contour element
+    conj(ds), and the split representation gives
+    g(R(s)) = -log N - conj(g(s)).  Each mirrored pair of nodes therefore
+    contributes 2i Im(g ds) - log N conj(ds): the full sum over bottom,
+    right, top and left sides from the bottom, right and top nodes alone.
+    """
+    half = mp.mpf(1) / 2
+    x0, x1 = half - halfwidth, half + halfwidth
+    corners = [mp.mpc(x0, t_lo), mp.mpc(x1, t_lo),
+               mp.mpc(x1, t_hi), mp.mpc(x0, t_hi)]
+    gl_x, gl_w = _gl_rule(degree)
+    total = mp.mpc(0)
+    for a, b in zip(corners, corners[1:]):  # the left side is the mirror
+        n_panels = max(1, int(mp.ceil(abs(b - a) / max_len)))
+        for i in range(n_panels):
+            lo = a + (b - a) * mp.mpf(i) / n_panels
+            hi = a + (b - a) * mp.mpf(i + 1) / n_panels
+            mid, radius = (lo + hi) / 2, (hi - lo) / 2
+            for x, w in zip(gl_x, gl_w):
+                s = mid + radius * x
+                assert s.real != half, "winding node on the mirror line"
+                if s.real < half:
+                    continue
+                v, d = jet(s, 1)
+                if v == 0:
+                    return None
+                ds = w * radius
+                total += mp.mpc(0, 2 * mp.im(ds * d / v)) - log_n * mp.conj(ds)
+    return total / (2 * mp.pi * mp.mpc(0, 1))
+
+
+def _winding_number(jet, log_n, halfwidth, t_lo, t_hi):
+    """Argument-principle count of zeros of Lambda inside the box
+    |Re s - 1/2| <= halfwidth, t_lo <= Im s <= t_hi (symmetric about the
+    critical line, so the functional-equation mirror serves its left half),
+    by Gauss-Legendre quadrature of Lambda'/Lambda along the boundary.
+    `log_n` is log of the form's level.
 
     Returns (count, quality) with quality the distance of the raw contour
     integral from the nearest integer, or (None, None) when no rung of the
     retry ladder produced a near-integer (e.g. a zero sits on the contour).
     """
-    two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-    corners = [mp.mpc(x0, t_lo), mp.mpc(x1, t_lo),
-               mp.mpc(x1, t_hi), mp.mpc(x0, t_hi), mp.mpc(x0, t_lo)]
-    for degree, max_len in ((24, mp.mpf("0.5")), (32, mp.mpf("0.25")),
-                            (40, mp.mpf("0.125"))):
-        gl_x, gl_w = _gl_rule(degree)
-        total = mp.mpc(0)
-        degenerate = False
-        for a, b in zip(corners, corners[1:]):
-            n_panels = max(1, int(mp.ceil(abs(b - a) / max_len)))
-            for i in range(n_panels):
-                lo = a + (b - a) * mp.mpf(i) / n_panels
-                hi = a + (b - a) * mp.mpf(i + 1) / n_panels
-                mid, half = (lo + hi) / 2, (hi - lo) / 2
-                for x, w in zip(gl_x, gl_w):
-                    s = mid + half * x
-                    v, d = jet(s, 1)
-                    if v == 0:
-                        degenerate = True
-                        break
-                    total += w * half * d / v
-                if degenerate:
-                    break
-            if degenerate:
-                break
-        if degenerate:
+    for degree, max_len in _WINDING_LADDER:
+        val = _mirrored_contour_sum(jet, log_n, halfwidth, t_lo, t_hi,
+                                    degree, mp.mpf(max_len))
+        if val is None:
             continue
-        val = total / two_pi_i
         count = int(mp.nint(val.real))
         quality = abs(val - count)
         if quality < mp.mpf("0.15"):
@@ -409,7 +448,9 @@ def scan_zeros(f: MaassForm, t0, t1, step,
     Candidates (argument wraps, dips, and -- when the form is self-dual --
     sign changes of the rotated sample) are merged into boxes of half-width
     `re_halfwidth` around the critical line; each box's winding number is
-    computed by quadrature of Lambda'/Lambda, winding-1 boxes get a
+    computed by quadrature of Lambda'/Lambda, with the jet evaluated on the
+    right half of the box only and the left half served by the
+    functional-equation mirror (see `_winding_number`); winding-1 boxes get a
     Newton-located zero re-verified against |Lambda| <= tol_used, and
     simplicity additionally requires |Lambda'| > 10 tol_used.  Unresolvable
     boxes raise InconclusiveError (with .boxes and .partial_report attached)
@@ -491,7 +532,7 @@ def scan_zeros(f: MaassForm, t0, t1, step,
             else:
                 spans.append((lo, hi))
 
-        x0, x1 = half - mp.mpf(re_halfwidth), half + mp.mpf(re_halfwidth)
+        log_n, halfwidth = mp.log(f.level), mp.mpf(re_halfwidth)
         abs_at = {float(t): abs(v) for t, v in pts}
         records = []
         trouble = []
@@ -521,9 +562,10 @@ def scan_zeros(f: MaassForm, t0, t1, step,
                 tol_used=tol_used))
 
         def resolve(lo, hi, depth=0):
-            count, _ = _winding_number(jet, x0, x1, mp.mpf(lo), mp.mpf(hi))
+            count, _ = _winding_number(jet, log_n, halfwidth,
+                                       mp.mpf(lo), mp.mpf(hi))
             if count is None:
-                count, _ = _winding_number(jet, x0, x1,
+                count, _ = _winding_number(jet, log_n, halfwidth,
                                            mp.mpf(lo) - step / 7,
                                            mp.mpf(hi) + step / 7)
             if count is None:
@@ -546,7 +588,8 @@ def scan_zeros(f: MaassForm, t0, t1, step,
         for lo, hi in spans:
             resolve(lo, hi)
 
-        total, _ = _winding_number(jet, x0, x1, mp.mpf(bottom), mp.mpf(t1))
+        total, _ = _winding_number(jet, log_n, halfwidth, mp.mpf(bottom),
+                                   mp.mpf(t1))
         records.sort(key=lambda z: z.rho.im)
         report = ScanReport((t0, t1), tuple(records),
                             -1 if total is None else total)
@@ -588,8 +631,13 @@ def delta_residue_check(f: MaassForm, rho: ZeroRecord,
 
     At a simple zero the integrand has a simple pole with residue
     -Lambda'(rho), so the return value vanishes up to quadrature error.  The
-    contour radius is half the record's smaller box radius; IsolationError
-    is raised when the doubled radius is not free of other zeros.
+    contour radius r is half the record's smaller box radius; IsolationError
+    is raised when the doubled radius is not free of other zeros.  Isolation
+    is certified by a winding count of 1 over the box symmetric about the
+    critical line with half-width 2r + |Re rho - 1/2| and heights
+    Im rho +- 2r: a superset of the square of half-side 2r about rho (the
+    same box when rho is on the line), which the functional-equation mirror
+    can count from its right half.
     """
     ctx = ctx or default_context()
     if points < 8:
@@ -601,7 +649,7 @@ def delta_residue_check(f: MaassForm, rho: ZeroRecord,
         if r <= 0:
             raise ValueError("degenerate isolation box")
         nearby, _ = _winding_number(
-            jet, center.real - 2 * r, center.real + 2 * r,
+            jet, mp.log(f.level), 2 * r + abs(center.real - mp.mpf(1) / 2),
             center.imag - 2 * r, center.imag + 2 * r)
         if nearby != 1:
             raise IsolationError(

@@ -19,7 +19,7 @@ from ltwist import zeros as zeros_mod
 from ltwist.analytic import GammaFactorSpec, PFactorSpec, gamma_factor, p_factor
 from ltwist.errors import (ConvergenceError, InconclusiveError, IsolationError,
                            NearZeroError)
-from ltwist.forms import dual_form
+from ltwist.forms import MaassForm, Nebentypus, dual_form
 from ltwist.precision import ComplexParam, PrecisionContext
 from ltwist.series import TwistSpec, eval_series, lambda_table
 from ltwist.zeros import (ZeroRecord, delta_residue_check, feofd_residual,
@@ -166,14 +166,166 @@ def test_one_mellin_sweep_per_side_per_point(form_odd, ctx, monkeypatch):
     with ctx.workprec():
         jet = zeros_mod._make_evaluator(form_odd, ctx)
         count, quality = zeros_mod._winding_number(
-            jet, mp.mpf("0.4"), mp.mpf("0.6"), mp.mpf("3.4"), mp.mpf("3.6"))
+            jet, mp.log(form_odd.level), mp.mpf("0.1"), mp.mpf("3.4"),
+            mp.mpf("3.6"))
     assert count == 0 and quality < 0.15
-    nodes = 4 * 24  # four 0.2-long edges, one 24-point panel each
+    # four 0.2-long edges, one 24-point panel each; the functional-equation
+    # mirror serves the left edge and the left halves of bottom and top
+    nodes = 12 + 24 + 12
     assert orders == [1] * (2 * nodes)
 
     orders.clear()
     feofd_residual(form_odd, mp.mpc(0.7, 2), ctx)
     assert orders == [2] * 4
+
+
+PRIMES_200 = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+def synthetic_form(level, weight, nu_im):
+    """Form data with real deterministic coefficients and eta = 1; not
+    modular.  The jet J_f(s) + phase J_dual(1 - s) satisfies the reflection
+    identity whatever the data, so these forms reach what the level-1
+    weight-0 fixtures cannot: the weight-1 profile (order nu +- 1/2, not even
+    in nu) and a level whose log N term is nonzero."""
+    coeffs = tuple((p, ComplexParam(Fraction((-1) ** i * ((37 * p) % 100),
+                                             100)))
+                   for i, p in enumerate(PRIMES_200))
+    return MaassForm(level=level, weight=weight, eps=1,
+                     eta=ComplexParam(Fraction(1)),
+                     nu=ComplexParam(Fraction(0), Fraction(nu_im)),
+                     xi=Nebentypus(1), prime_coeffs=coeffs, coeff_bound=199)
+
+
+# real data and imaginary nu: self-dual at weight 0, not at weight 1
+WEIGHT1_FORM = synthetic_form(1, 1, Fraction(9, 4))
+LEVEL2_FORM = synthetic_form(2, 0, Fraction(13, 2))
+
+
+def test_self_dual_forms_share_one_kernel(form_even, form_odd, ctx):
+    """A self-dual form and its dual (nu -> -nu) are served by one cached
+    kernel, whose nodes equal a kernel built for the dual from scratch; a
+    weight-1 form with imaginary nu is not self-dual, and its dual gets its
+    own kernel."""
+    for f, fe_ctx in ((form_even, FEOFD_CTX), (form_odd, ctx)):
+        feofd_residual(f, mp.mpc(0.7, 2), fe_ctx)
+        dual = dual_form(f)
+        with ctx.workprec():
+            kernels = {id(kernel) for (g, prec), kernel
+                       in zeros_mod._KERNEL_CACHE.items()
+                       if g in (f, dual) and prec == mp.mp.prec}
+            shared = zeros_mod._get_kernel(dual, ctx)
+            assert kernels == {id(shared)}
+            assert shared is zeros_mod._get_kernel(f, ctx)
+            fresh = zeros_mod._SplitKernel(dual, ctx)
+        assert (fresh.delta, fresh.nodes) == (shared.delta, shared.nodes)
+
+    assert zeros_mod._is_self_dual(LEVEL2_FORM)
+    assert not zeros_mod._is_self_dual(WEIGHT1_FORM)
+    dual = dual_form(WEIGHT1_FORM)
+    with ctx.workprec():
+        cached = zeros_mod._get_kernel(dual, ctx)
+        assert cached is not zeros_mod._get_kernel(WEIGHT1_FORM, ctx)
+        fresh = zeros_mod._SplitKernel(dual, ctx)
+    assert (fresh.delta, fresh.nodes) == (cached.delta, cached.nodes)
+
+
+# ---------------------------------------------------------------------------
+# winding numbers: the functional-equation mirror against the full contour
+
+
+def log_derivative(jet, s):
+    v, d = jet(s, 1)
+    return d / v
+
+
+@pytest.mark.parametrize("s", [mp.mpc(0.8, 1.3), mp.mpc(0.6, 3.5),
+                               mp.mpc(-1, 5), mp.mpc(2, -3.5),
+                               mp.mpc(0.55, 0.05), mp.mpc(1.5, 7)], ids=str)
+def test_log_derivative_reflection_identity(form_even, form_odd, ctx, s):
+    """g(1 - conj s) = -log N - conj g(s) for g = Lambda'/Lambda, the
+    identity the mirrored winding sum rests on."""
+    for f in (form_even, form_odd, WEIGHT1_FORM, LEVEL2_FORM):
+        with ctx.workprec():
+            jet = zeros_mod._make_evaluator(f, ctx)
+            g = log_derivative(jet, s)
+            mirrored = log_derivative(jet, 1 - mp.conj(s))
+            expected = -mp.log(f.level) - mp.conj(g)
+            assert abs(mirrored - expected) <= 1e-30 * max(1, abs(g))
+
+
+def full_contour_sum(jet, x0, x1, t_lo, t_hi, degree, max_len):
+    """(1/2 pi i) of the Gauss-Legendre sum of Lambda'/Lambda over all four
+    sides of the box, every node evaluated: the reference for the mirror."""
+    corners = [mp.mpc(x0, t_lo), mp.mpc(x1, t_lo), mp.mpc(x1, t_hi),
+               mp.mpc(x0, t_hi), mp.mpc(x0, t_lo)]
+    gl_x, gl_w = zeros_mod._gl_rule(degree)
+    total = mp.mpc(0)
+    for a, b in zip(corners, corners[1:]):
+        n_panels = max(1, int(mp.ceil(abs(b - a) / max_len)))
+        for i in range(n_panels):
+            lo = a + (b - a) * i / n_panels
+            hi = a + (b - a) * (i + 1) / n_panels
+            for x, w in zip(gl_x, gl_w):
+                s = (lo + hi) / 2 + (hi - lo) / 2 * x
+                total += w * (hi - lo) / 2 * log_derivative(jet, s)
+    return total / (2j * mp.pi)
+
+
+def synthetic_level_jet(level, rho):
+    """Jet of Lambda(s) = N^(-s/2) (s - rho)(s - 1 + conj rho) e^((s-1/2)^2),
+    which satisfies Lambda(s) = N^(1/2-s) conj Lambda(1 - conj s) as a
+    level-N completed L-function does, with two zeros off the critical line
+    in a known place."""
+    def jet(s, m):
+        quad = (s - rho) * (s - 1 + mp.conj(rho))
+        outer = mp.power(level, -s / 2) * mp.exp((s - 0.5) ** 2)
+        d_outer = outer * (2 * (s - 0.5) - mp.log(level) / 2)
+        d_quad = 2 * s - 1 - rho + mp.conj(rho)
+        return [quad * outer, d_quad * outer + quad * d_outer][:m + 1]
+    return jet
+
+
+@pytest.mark.parametrize("kind, t_lo, t_hi, zeros_inside", [
+    ("odd", "3.25", "3.75", 0),
+    ("even", "2.772", "3.023", 1),
+    ("odd", "-0.125", "0.25", 1),
+    ("level 11", "1", "2", 2),
+    ("weight 1", "4", "4.5", 0),
+    ("level 2", "6.25", "7", 1),
+])
+def test_mirrored_winding_matches_full_contour(form_even, form_odd, ctx,
+                                               kind, t_lo, t_hi,
+                                               zeros_inside):
+    """The winding sum from the right half of the box equals the sum over
+    every node of the full contour, and both give the same count."""
+    degree, max_len = zeros_mod._WINDING_LADDER[0]
+    seen = {}
+
+    def jet(s, m):  # the winding count revisits the mirrored sum's nodes
+        if (s, m) not in seen:
+            seen[s, m] = evaluate(s, m)
+        return seen[s, m]
+
+    with ctx.workprec():
+        if kind == "level 11":
+            evaluate, log_n = synthetic_level_jet(11, mp.mpc(0.55, 1.4)), \
+                mp.log(11)
+        else:
+            f = {"even": form_even, "odd": form_odd, "weight 1": WEIGHT1_FORM,
+                 "level 2": LEVEL2_FORM}[kind]
+            evaluate, log_n = zeros_mod._make_evaluator(f, ctx), \
+                mp.log(f.level)
+        hw = mp.mpf("0.1")
+        t_lo, t_hi, max_len = mp.mpf(t_lo), mp.mpf(t_hi), mp.mpf(max_len)
+        mirrored = zeros_mod._mirrored_contour_sum(
+            jet, log_n, hw, t_lo, t_hi, degree, max_len)
+        full = full_contour_sum(jet, mp.mpf(0.5) - hw, mp.mpf(0.5) + hw,
+                                t_lo, t_hi, degree, max_len)
+        assert abs(mirrored - full) <= 1e-25
+        assert int(mp.nint(full.real)) == zeros_inside
+        count, _ = zeros_mod._winding_number(jet, log_n, hw, t_lo, t_hi)
+        assert count == zeros_inside
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .errors import (ConvergenceError, DegenerateError, PoleSampleError,
                      TailError)
-from .forms import MaassForm, dual_form, hecke_coeff
+from .forms import MaassForm, dual_form, hecke_table
 from .precision import (ComplexParam, PrecisionContext, default_context,
                         to_mpc, to_real)
 from .specfun import bessel_k, gamma_r, gen_binom, hyp2f1, trigamma
@@ -73,10 +73,8 @@ def gamma_factor(spec: GammaFactorSpec, s, ctx: PrecisionContext | None = None):
     shifts of `spec` and spectral displacement +-nu."""
     ctx = ctx or default_context()
     with ctx.workprec():
-        s = to_mpc(s, ctx)
-        nu = spec.nu.mpc(ctx)
-        sp, sm = spec.shift_pair
-        return gamma_r(s + sp + nu, ctx) * gamma_r(s + sm - nu, ctx)
+        return _gamma_params(spec.k, spec.eps, spec.nu.mpc(ctx), spec.sign,
+                             to_mpc(s, ctx), ctx)
 
 
 def _gamma_params(k, eps, nu, sign, s, ctx):
@@ -135,19 +133,23 @@ def _truncation_point(f: MaassForm, y, tol) -> int:
 def eval_form(f: MaassForm, z, ctx: PrecisionContext | None = None):
     """Fourier-expansion value of the form at z = x + iy, y > 0, truncated
     with a certified K-Bessel tail bound (TailError when the coefficient
-    table is too short to reach ctx.tol)."""
+    table is too short to reach the tolerance).  The tail is below ctx.tol
+    relative to the form's natural scale e^(-pi |Im nu| / 2): K_nu damps
+    every term by about that factor, so |f(z)| itself is that small."""
     ctx = ctx or default_context()
     with ctx.workprec():
         z = to_mpc(z, ctx)
         x, y = mp.re(z), mp.im(z)
         if y <= 0:
             raise ValueError("eval_form needs Im z > 0")
-        n_max = _truncation_point(f, y, ctx.tol)
+        nu = f.nu.mpc(ctx)
+        n_max = _truncation_point(
+            f, y, ctx.tol * mp.exp(-mp.pi * abs(nu.imag) / 2))
+        lam_table = hecke_table(f, n_max)
         total = mp.mpc(0)
         two_pi_x = 2 * mp.pi * x
-        nu = f.nu.mpc(ctx)
         for n in range(1, n_max + 1):
-            lam = hecke_coeff(f, n).mpc(ctx)
+            lam = lam_table[n].mpc(ctx)
             if lam == 0:
                 continue
             vp = _v_params(f.weight, f.eps, nu, 1, n * y, ctx)
@@ -187,7 +189,7 @@ def kcos_closed(lam, mu, a, b, ctx: PrecisionContext | None = None):
         bb = (1 + lam - mu) / 2
         return (mp.power(2, lam - 1) * mp.power(a, -(lam + 1))
                 * mp.gamma(aa) * mp.gamma(bb)
-                * hyp2f1_neg(aa, bb, mp.mpf(1) / 2, -(b / a) ** 2, ctx))
+                * hyp2f1(aa, bb, mp.mpf(1) / 2, -(b / a) ** 2, ctx))
 
 
 def ksin_closed(lam, mu, a, b, ctx: PrecisionContext | None = None):
@@ -205,7 +207,7 @@ def ksin_closed(lam, mu, a, b, ctx: PrecisionContext | None = None):
         bb = (2 + lam - mu) / 2
         return (mp.power(2, lam) * b * mp.power(a, -(lam + 2))
                 * mp.gamma(aa) * mp.gamma(bb)
-                * hyp2f1_neg(aa, bb, mp.mpf(3) / 2, -(b / a) ** 2, ctx))
+                * hyp2f1(aa, bb, mp.mpf(3) / 2, -(b / a) ** 2, ctx))
 
 
 def ksin_closed_as_printed(lam, mu, a, b, ctx: PrecisionContext | None = None):
@@ -214,11 +216,6 @@ def ksin_closed_as_printed(lam, mu, a, b, ctx: PrecisionContext | None = None):
     with ctx.workprec():
         a = to_real(a, ctx)
         return ksin_closed(lam, mu, a, b, ctx) * mp.power(a, to_mpc(lam, ctx) + 2)
-
-
-def hyp2f1_neg(a, b, c, z, ctx):
-    """Gauss 2F1 restricted to real z <= 0 (delegates to specfun)."""
-    return hyp2f1(a, b, c, z, ctx)
 
 
 def k_trig_quadrature(lam, mu, a, b, kind: str,
@@ -324,19 +321,19 @@ def _g_closed(k, eps, nu, s, omega, ctx):
             pref = 2 * mp.pi * mp.mpc(0, 1) * omega
         half = mp.mpf(1 - eps) / 2
         gam = _gamma_params(0, eps, nu, 1, s, ctx)
-        return pref * gam * hyp2f1_neg((s + half + nu) / 2, (s + half - nu) / 2,
-                                       1 - mp.mpf(eps) / 2, w, ctx)
+        return pref * gam * hyp2f1((s + half + nu) / 2, (s + half - nu) / 2,
+                                   1 - mp.mpf(eps) / 2, w, ctx)
     first = (_gamma_params(1, eps, nu, 1, s, ctx)
-             * hyp2f1_neg((s + mp.mpf(1 + eps) / 2 + nu) / 2,
-                          (s + mp.mpf(1 - eps) / 2 - nu) / 2,
-                          mp.mpf(1) / 2, w, ctx))
+             * hyp2f1((s + mp.mpf(1 + eps) / 2 + nu) / 2,
+                      (s + mp.mpf(1 - eps) / 2 - nu) / 2,
+                      mp.mpf(1) / 2, w, ctx))
     if omega == 0:
         return first
     second = (2 * mp.pi * mp.mpc(0, 1) * omega
               * _gamma_params(1, eps, nu, -1, s + 1, ctx)
-              * hyp2f1_neg((s + mp.mpf(3 - eps) / 2 + nu) / 2,
-                           (s + mp.mpf(3 + eps) / 2 - nu) / 2,
-                           mp.mpf(3) / 2, w, ctx))
+              * hyp2f1((s + mp.mpf(3 - eps) / 2 + nu) / 2,
+                       (s + mp.mpf(3 + eps) / 2 - nu) / 2,
+                       mp.mpf(3) / 2, w, ctx))
     return first + second
 
 
@@ -503,21 +500,26 @@ def p_factor(pspec: PFactorSpec, f: MaassForm,
     the downward recurrence, times the weight/parity case factor."""
     ctx = ctx or default_context()
     with ctx.workprec():
-        s = pspec.s.mpc(ctx)
-        nu = f.nu.mpc(ctx)
-        sign = -1 if pspec.a % 2 else 1
-        if f.weight == 0 and sign == -f.eps:
-            return mp.mpc(0)
-        sp, sm = _shifts(f.weight, f.eps, sign)
-        half_m = pspec.m // 2
-        xp = 1 - s + sp + nu
-        xm = 1 - s + sm - nu
-        value = mp.mpc(1)
-        for i in range(1, half_m + 1):
-            value *= (xp - 2 * i) * (xm - 2 * i) / (2 * mp.pi) ** 2
-        if f.weight == 1 and pspec.m % 2 == 1:
-            value *= (s + 2 * half_m - sign * f.eps * nu) / (2 * mp.pi)
-        return value
+        return _p_poly(f, pspec.s.mpc(ctx), pspec.a, pspec.m, f.nu.mpc(ctx))
+
+
+def _p_poly(f: MaassForm, s, a: int, m: int, nu):
+    """P(s; a, m) at mpc s and nu: the gamma ratio gamma^sgn(1-s) /
+    gamma^sgn(1-s-2*floor(m/2)), sgn = (-1)^a, reduced to a polynomial,
+    with the weight/parity factors."""
+    sign = -1 if a % 2 else 1
+    if f.weight == 0 and sign == -f.eps:
+        return mp.mpc(0)
+    sp, sm = _shifts(f.weight, f.eps, sign)
+    half_m = m // 2
+    xp = 1 - s + sp + nu
+    xm = 1 - s + sm - nu
+    value = mp.mpc(1)
+    for i in range(1, half_m + 1):
+        value *= (xp - 2 * i) * (xm - 2 * i) / (2 * mp.pi) ** 2
+    if f.weight == 1 and m % 2 == 1:
+        value *= (s + 2 * half_m - sign * f.eps * nu) / (2 * mp.pi)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +660,13 @@ def _phi_residual(nu, s, ctx) -> float:
         return float(abs(quad - target))
 
 
+def _gamma_pair_dd(k, eps, nu, s, ctx=None):
+    """(d/ds)^2 log of the plus gamma pair at s with displacement nu."""
+    sp, sm = _shifts(k, eps, 1)
+    return (trigamma((s + sp + nu) / 2, ctx)
+            + trigamma((s + sm - nu) / 2, ctx)) / 4
+
+
 def digamma_xf_residual_params(k, eps, nu, s,
                                ctx: PrecisionContext | None = None) -> float:
     """Residual of the reflection identity tying the log-derivative of the
@@ -667,13 +676,8 @@ def digamma_xf_residual_params(k, eps, nu, s,
     with ctx.workprec():
         s = to_mpc(s, ctx)
         nu = to_mpc(nu, ctx)
-        sp, sm = _shifts(k, eps, 1)
-
-        def psi2(w, displacement):
-            return (trigamma((w + sp + displacement) / 2, ctx)
-                    + trigamma((w + sm - displacement) / 2, ctx)) / 4
-
-        lhs = psi2(s, nu) - psi2(1 - s, -nu)
+        lhs = (_gamma_pair_dd(k, eps, nu, s, ctx)
+               - _gamma_pair_dd(k, eps, -nu, 1 - s, ctx))
         w1 = s + mp.mpf(1 + ((-1) ** k) * eps) / 2 + nu
         w2 = s + mp.mpf(1 + eps) / 2 - nu
         xf = (mp.pi ** 2 / 4) * (1 / mp.sinpi(w1 / 2) ** 2
@@ -699,6 +703,7 @@ def _a_series(f: MaassForm, alpha: Fraction, y, ctx,
         y = to_real(y, ctx)
         nu = f.nu.mpc(ctx)
         limit = min(f.coeff_bound, 4000) if n_limit is None else n_limit
+        lam_table = hecke_table(f, limit)
         alpha_f = mp.mpf(alpha.numerator) / alpha.denominator
         total = mp.mpc(0)
         small = 0
@@ -706,7 +711,7 @@ def _a_series(f: MaassForm, alpha: Fraction, y, ctx,
         last = mp.mpf(0)
         n_used = 0
         for n in range(1, limit + 1):
-            lam = hecke_coeff(f, n).mpc(ctx)
+            lam = lam_table[n].mpc(ctx)
             phase = 2 * mp.pi * alpha_f * n
 
             def integrand(x, n=n, phase=phase):

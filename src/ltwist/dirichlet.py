@@ -35,24 +35,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
+def factorize(n: int) -> list[tuple[int, int]]:
+    """[(p, j), ...] with p^j exactly dividing n >= 1, p increasing, by
+    trial division."""
     out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            j = 0
+            while n % p == 0:
+                n //= p
+                j += 1
+            out.append((p, j))
+        p += 1 if p == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
 def primitive_root(q: int) -> int:
     """Smallest primitive root mod prime q."""
     order = q - 1
-    factors = _prime_factors(order)
+    factors = [p for p, _ in factorize(order)]
     for g in range(2, q):
         if all(pow(g, order // p, q) != 1 for p in factors):
             return g

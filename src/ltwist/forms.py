@@ -1,10 +1,10 @@
-"""Maass newform data model, FORM file ingestion, and coefficient engines.
+"""Maass newform data model, FORM file ingestion, and the coefficient engine.
 
-Coefficient data is ingested, never computed here: a form is its level,
-weight, parity/eigenvalue data, nebentypus table, and a finite table of
-Hecke eigenvalues at primes.  All stored numbers are exact Gaussian
-rationals (ComplexParam), so the Hecke recurrences below are exact and
-serialize/parse is a true round trip.
+A form is its level, weight, parity/eigenvalue data, nebentypus table, and
+the Hecke eigenvalues lambda(p) at primes read from its FORM file; every
+other coefficient is derived here by exact Hecke recurrences, one value at
+a time or as a table lambda(1..X).  All numbers are exact Gaussian
+rationals (ComplexParam), so serialize/parse is a true round trip.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import mpmath as mp
 
-from .dirichlet import is_prime
+from .dirichlet import factorize, is_prime
 from .errors import InvariantError, MissingPrimeError, ParseError
 from .precision import (ComplexParam, PrecisionContext, default_context,
                         format_decimal, parse_decimal)
@@ -94,6 +94,16 @@ class MaassForm:
     @cached_property
     def coeff_map(self) -> dict:
         return dict(self.prime_coeffs)
+
+    @cached_property
+    def digest(self) -> int:
+        """The form's hash, computed once per object: caches key the form on
+        it.  Equality stays the field-by-field dataclass comparison."""
+        return hash((self.level, self.weight, self.eps, self.eta, self.nu,
+                     self.xi, self.prime_coeffs, self.coeff_bound))
+
+    def __hash__(self) -> int:
+        return self.digest
 
     def lam(self, p: int) -> ComplexParam:
         try:
@@ -340,13 +350,12 @@ _ONE = ComplexParam(Fraction(1), Fraction(0))
 _TWO = ComplexParam(Fraction(2), Fraction(0))
 
 
-def _lambda_prime_power(f: MaassForm, p: int, j: int) -> ComplexParam:
-    """lambda(p^j) via lambda(p^(j+1)) = lambda(p) lambda(p^j) - xi(p) lambda(p^(j-1))."""
+def _power_recurrence(f: MaassForm, p: int, j: int, start) -> ComplexParam:
+    """u_j for j >= 1 of u_(i+1) = lambda(p) u_i - xi(p) u_(i-1) with
+    u_0 = start, u_1 = lambda(p): lambda(p^j) from start 1, a(p^j) from 2."""
     lam_p = f.lam(p)
     xi_p = f.xi.value(p)
-    prev, cur = _ONE, lam_p
-    if j == 0:
-        return _ONE
+    prev, cur = start, lam_p
     for _ in range(j - 1):
         prev, cur = cur, lam_p * cur - xi_p * prev
     return cur
@@ -357,18 +366,34 @@ def hecke_coeff(f: MaassForm, n: int) -> ComplexParam:
     if n < 1:
         raise ValueError("n must be a positive integer")
     result = _ONE
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            j = 0
-            while n % p == 0:
-                n //= p
-                j += 1
-            result = result * _lambda_prime_power(f, p, j)
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = result * f.lam(n)
+    for p, j in factorize(n):
+        result = result * _power_recurrence(f, p, j, _ONE)
     return result
+
+
+def hecke_table(f: MaassForm, X: int) -> list:
+    """Exact [None, lambda(1), ..., lambda(X)] from a smallest-prime-factor
+    sieve: lambda(p^j m) = lambda(p^j) lambda(m) for p the least prime
+    factor and p not dividing m, lambda(p^j) by the Hecke recurrence.
+    MissingPrimeError names the least prime <= X not ingested."""
+    spf = list(range(X + 1))
+    for p in range(2, math.isqrt(X) + 1):
+        if spf[p] == p:
+            for m in range(p * p, X + 1, p):
+                spf[m] = min(spf[m], p)
+    lam = [None, _ONE] + [None] * (X - 1)
+    for n in range(2, X + 1):
+        p = spf[n]
+        pj = p
+        while n % (pj * p) == 0:
+            pj *= p
+        if pj < n:
+            lam[n] = lam[pj] * lam[n // pj]
+        elif pj == p:
+            lam[n] = f.lam(p)
+        else:
+            lam[n] = lam[p] * lam[n // p] - f.xi.value(p) * lam[n // (p * p)]
+    return lam
 
 
 def prime_power_a(f: MaassForm, p: int, m: int) -> ComplexParam:
@@ -378,19 +403,19 @@ def prime_power_a(f: MaassForm, p: int, m: int) -> ComplexParam:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    lam_p = f.lam(p)
-    xi_p = f.xi.value(p)
-    prev, cur = _TWO, lam_p
-    for _ in range(m - 1):
-        prev, cur = cur, lam_p * cur - xi_p * prev
-    return cur
+    return _power_recurrence(f, p, m, _TWO)
 
 
 def dual_form(f: MaassForm) -> MaassForm:
-    """The dual: all coefficient data conjugated, N/k/eps unchanged."""
-    return MaassForm(level=f.level, weight=f.weight, eps=f.eps,
-                     eta=f.eta.conjugate(), nu=f.nu.conjugate(),
-                     xi=f.xi.conjugate(),
-                     prime_coeffs=tuple((p, lam.conjugate())
-                                        for p, lam in f.prime_coeffs),
-                     coeff_bound=f.coeff_bound)
+    """The dual: all coefficient data conjugated, N/k/eps unchanged.  Built
+    once per form object, whose dual's dual is the object itself, so a warm
+    call builds and hashes nothing."""
+    if "dual" not in vars(f):
+        dual = MaassForm(level=f.level, weight=f.weight, eps=f.eps,
+                         eta=f.eta.conjugate(), nu=f.nu.conjugate(),
+                         xi=f.xi.conjugate(),
+                         prime_coeffs=tuple((p, lam.conjugate())
+                                            for p, lam in f.prime_coeffs),
+                         coeff_bound=f.coeff_bound)
+        vars(f)["dual"], vars(dual)["dual"] = dual, f
+    return vars(f)["dual"]

@@ -9,6 +9,7 @@ files, CLI arguments, exact-arithmetic identity checks.
 
 from __future__ import annotations
 
+import functools
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +64,36 @@ _DEFAULT_CTX = PrecisionContext()
 
 def default_context() -> PrecisionContext:
     return _DEFAULT_CTX
+
+
+class Store:
+    """The one owner of everything memoised, under explicit keys (kind, form
+    digest, work_bits, *rest): never a form object (the digest is computed
+    once per form) and never mpmath's global precision."""
+
+    def __init__(self):
+        self.entries: dict = {}
+
+    def memo(self, kind: str, by_bits: bool = True):
+        """Decorator: fn(x, *rest, ctx) is built once per key (kind, digest
+        of the form x -- or x itself when it is not a form --,
+        ctx.work_bits, *rest), inside ctx.workprec(); by_bits=False puts
+        None in place of the bits for a value that does not depend on them."""
+        def wrap(fn):
+            @functools.wraps(fn)
+            def memoised(x, *args):
+                *rest, ctx = args
+                key = (kind, getattr(x, "digest", x),
+                       ctx.work_bits if by_bits else None, *rest)
+                if key not in self.entries:
+                    with ctx.workprec():
+                        self.entries[key] = fn(x, *args)
+                return self.entries[key]
+            return memoised
+        return wrap
+
+
+STORE = Store()
 
 
 _DECIMAL_RE = _re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")

@@ -18,13 +18,14 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .dirichlet import DirichletCharacter, characters, is_prime, root_number
+from .dirichlet import (DirichletCharacter, characters, factorize, is_prime,
+                        root_number)
 from .errors import (DegenerateError, MissingPrimeError, SingularError,
                      TailError)
-from .forms import (KS_THETA, MaassForm, hecke_coeff, kim_sarnak_bound,
+from .forms import (KS_THETA, MaassForm, hecke_coeff, hecke_table,
                     prime_power_a)
-from .precision import (ComplexParam, PrecisionContext, default_context,
-                        to_mpc)
+from .precision import (STORE, ComplexParam, PrecisionContext,
+                        default_context, to_mpc)
 
 __all__ = ["TwistSpec", "CoeffTable", "SeriesValue", "PoleLattice",
            "PrincipalTwistReport", "RSReport", "lambda_table", "a_table",
@@ -76,36 +77,24 @@ class CoeffTable:
             raise ValueError("c table must vanish at n=1")
 
 
-def _factorize(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            m = 0
-            while n % p == 0:
-                n //= p
-                m += 1
-            out.append((p, m))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+def _primes(f: MaassForm, X: int) -> list:
+    """The primes p <= X: the ingested ones, up to coeff_bound, beyond
+    which lambda(coeff_bound + 1) raises MissingPrimeError."""
+    if X > f.coeff_bound:
+        f.lam(f.coeff_bound + 1)
+    return [p for p, _ in f.prime_coeffs if p <= X]
 
 
 def lambda_table(f: MaassForm, X: int) -> CoeffTable:
     """Exact lambda(n) for n <= X."""
-    values = {1: _ONE}
-    for n in range(2, X + 1):
-        values[n] = hecke_coeff(f, n)
+    values = dict(enumerate(hecke_table(f, X)[1:], start=1))
     return CoeffTable("lambda", values, X)
 
 
 def a_table(f: MaassForm, X: int) -> CoeffTable:
     """Exact a(n) (power sums of Satake roots) at prime powers n <= X, else 0."""
     values = {n: _ZERO for n in range(1, X + 1)}
-    for p in range(2, X + 1):
-        if not is_prime(p):
-            continue
+    for p in _primes(f, X):
         n, m = p, 1
         while n <= X:
             values[n] = prime_power_a(f, p, m)
@@ -118,10 +107,11 @@ def c_exact_parts(f: MaassForm, n: int) -> dict:
 
     c(n) = sum over d | n, d > 1 of lambda(n/d) Lambda(d) a(d) log d;
     the prime-power divisor d = p^m contributes m * lambda(n/d) * a(p^m)
-    in units of (log p)^2.
+    in units of (log p)^2.  The cofactors n/d come one at a time from
+    hecke_coeff: n may lie far past any table (p^6 needs only lambda(p)).
     """
     parts: dict = {}
-    for p, mmax in _factorize(n):
+    for p, mmax in factorize(n):
         total = _ZERO
         d = p
         for m in range(1, mmax + 1):
@@ -136,11 +126,9 @@ def c_coeffs(f: MaassForm, X: int,
     """Numeric table of c(n), n <= X, assembled from the exact decomposition."""
     ctx = ctx or default_context()
     with ctx.workprec():
-        lam = {n: hecke_coeff(f, n).mpc(ctx) for n in range(1, X + 1)}
+        lam = [None] + [v.mpc(ctx) for v in hecke_table(f, X)[1:]]
         values = {n: mp.mpc(0) for n in range(1, X + 1)}
-        for p in range(2, X + 1):
-            if not is_prime(p):
-                continue
+        for p in _primes(f, X):
             logp2 = mp.log(p) ** 2
             d, m = p, 1
             while d <= X:
@@ -173,10 +161,8 @@ def _sieve_d3(X: int) -> list:
     return d3
 
 
-_TAIL_CACHE: dict = {}
-
-
-def _tail_bound(kind: str, X: int, sigma):
+@STORE.memo("tail")
+def _tail_bound(kind: str, X: int, sigma, ctx: PrecisionContext):
     """Certified bound on the truncated tail sum_{n>X} |coeff(n)| n^(-sigma).
 
     lambda: |lambda(n)| <= d(n) n^theta        -> zeta(u)^2 partial tail
@@ -184,9 +170,6 @@ def _tail_bound(kind: str, X: int, sigma):
     c:      |c(n)| <= 2 d_3(n) (log n)^2 n^theta -> 2 (zeta^3)'' partial tail
     with u = sigma - theta, theta = 7/64.
     """
-    key = (kind, X, sigma, mp.mp.prec)
-    if key in _TAIL_CACHE:
-        return _TAIL_CACHE[key]
     theta = mp.mpf(KS_THETA.numerator) / KS_THETA.denominator
     u = sigma - theta
     if u <= 1:
@@ -208,10 +191,7 @@ def _tail_bound(kind: str, X: int, sigma):
         weights = [0, 0] + [d3[n] * mp.log(n) ** 2 for n in range(2, X + 1)]
         scale = mp.mpf(2)
     partial = mp.fsum(weights[n] * mp.power(n, -u) for n in range(1, X + 1))
-    tail = scale * (full - partial)
-    tail = max(tail, mp.mpf(0))
-    _TAIL_CACHE[key] = tail
-    return tail
+    return max(scale * (full - partial), mp.mpf(0))
 
 
 def trig_factor(j: int, x):
@@ -281,7 +261,7 @@ def eval_series(table: CoeffTable, s, twist: TwistSpec | None,
                     / twist.alpha.denominator
                 term *= trig_factor(twist.deriv_order, x)
             total += term
-        tail = _tail_bound(table.kind, table.bound, s.real)
+        tail = _tail_bound(table.kind, table.bound, s.real, ctx)
         if tail > ctx.tol:
             raise TailError(
                 f"certified tail {mp.nstr(tail, 3)} exceeds tol {ctx.tol} "
@@ -307,7 +287,7 @@ def eval_char_series(table: CoeffTable, s, chi: DirichletCharacter,
             if coeff == 0:
                 continue
             total += coeff * cv * mp.power(n, -s)
-        tail = _tail_bound(table.kind, table.bound, s.real)
+        tail = _tail_bound(table.kind, table.bound, s.real, ctx)
         if tail > ctx.tol:
             raise TailError(
                 f"certified tail {mp.nstr(tail, 3)} exceeds tol {ctx.tol}")
@@ -379,14 +359,15 @@ def principal_twist(f: MaassForm, q: int, X: int,
         raise ValueError("q must be a prime not dividing the level")
     lam_q = f.lam(q)
     xi_q = f.xi.value(q)
+    lam = hecke_table(f, X)
     failures = []
     for n in range(1, X + 1):
-        coeff = hecke_coeff(f, n)
+        coeff = lam[n]
         if n % q == 0:
-            coeff = coeff - lam_q * hecke_coeff(f, n // q)
+            coeff = coeff - lam_q * lam[n // q]
         if n % (q * q) == 0:
-            coeff = coeff + xi_q * hecke_coeff(f, n // (q * q))
-        want = _ZERO if n % q == 0 else hecke_coeff(f, n)
+            coeff = coeff + xi_q * lam[n // (q * q)]
+        want = _ZERO if n % q == 0 else lam[n]
         if coeff != want:
             failures.append(n)
     report = PrincipalTwistReport(q, X, not failures, tuple(failures))

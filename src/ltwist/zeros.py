@@ -43,14 +43,14 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from .analytic import GammaFactorSpec, _shifts, _v_params, gamma_factor
+from .analytic import (GammaFactorSpec, _gamma_pair_dd, _p_poly, _v_params,
+                       gamma_factor)
 from .errors import (ConvergenceError, InconclusiveError, IsolationError,
                      NearZeroError, TailError)
-from .forms import MaassForm, dual_form, hecke_coeff
-from .precision import (ComplexParam, PrecisionContext, default_context,
-                        dyadic_fraction, to_mpc, to_real)
+from .forms import MaassForm, dual_form, hecke_table
+from .precision import (STORE, ComplexParam, PrecisionContext,
+                        default_context, to_mpc, to_real)
 from .series import c_coeffs
-from .specfun import trigamma
 
 __all__ = [
     "ZeroRecord", "ScanReport", "lambda_complete", "lambda_derivs",
@@ -59,24 +59,21 @@ __all__ = [
 ]
 
 
-def _param_from_mpc(z) -> ComplexParam:
-    z = mp.mpc(z)
-    return ComplexParam(dyadic_fraction(z.real), dyadic_fraction(z.imag))
+_param_from_mpc = ComplexParam.coerce
 
 
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panels at working precision
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict = {}
-
-
-def _gl_rule(n: int):
-    """Nodes/weights on [-1, 1] at the current mpmath precision: float64
+def _gl_rule(n: int, ctx: PrecisionContext | None = None):
+    """Nodes/weights on [-1, 1] at the context's working precision: float64
     seeds polished by Newton iteration on the Legendre recurrence."""
-    key = (n, mp.prec)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
+    return _gl_nodes(n, ctx or default_context())
+
+
+@STORE.memo("gl")
+def _gl_nodes(n: int, ctx: PrecisionContext):
     seeds, _ = np.polynomial.legendre.leggauss(n)
 
     def legendre_pair(x):
@@ -95,19 +92,12 @@ def _gl_rule(n: int):
         _, dp = legendre_pair(x)
         nodes.append(x)
         weights.append(2 / ((1 - x * x) * dp * dp))
-    _GL_CACHE[key] = (nodes, weights)
     return nodes, weights
 
 
 # ---------------------------------------------------------------------------
 # cached split-integral kernels
 # ---------------------------------------------------------------------------
-
-def _uses_derivative_kernel(f: MaassForm) -> bool:
-    """Odd weight-0 forms vanish on the imaginary axis; integrate the
-    normalized x-derivative instead (Mellin exponent shifted by +1)."""
-    return f.weight == 0 and f.eps == -1
-
 
 def _is_self_dual(f: MaassForm) -> bool:
     """True when conjugating all coefficient data fixes the form's values,
@@ -126,7 +116,6 @@ def _efolds() -> mp.mpf:
     return mp.prec * mp.ln(2) + 30
 
 
-_KERNEL_CACHE: dict = {}
 _GL_DEGREE = 48
 
 
@@ -136,25 +125,25 @@ class _SplitKernel:
     Each node stores its weighted kernel value w*h and log y, so every Lambda
     evaluation is one sweep of power sums over these nodes: a single complex
     exponential per node serves the moments of every order.  The expensive
-    K-Bessel sums are paid once per (form, precision).
+    K-Bessel sums are paid once per (form, precision).  lambda(n) is read
+    only up to the cut at the lowest height, so only that much of the table
+    is built.
     """
 
     def __init__(self, f: MaassForm, ctx: PrecisionContext):
-        self.delta = 1 if _uses_derivative_kernel(f) else 0
+        # odd weight-0 forms vanish on the imaginary axis: integrate the
+        # normalized x-derivative instead (Mellin exponent shifted by +1)
+        self.delta = 1 if f.weight == 0 and f.eps == -1 else 0
         a = 1 / mp.sqrt(f.level)
         budget = _efolds()
         y_top = max(2 * a, budget / (2 * mp.pi))
         edges = [a]
         while edges[-1] < y_top:
             edges.append(min(2 * edges[-1], y_top))
-        gl_x, gl_w = _gl_rule(_GL_DEGREE)
+        gl_x, gl_w = _gl_rule(_GL_DEGREE, ctx)
         nu = f.nu.mpc(ctx)
-        lam_cache: dict = {}
-
-        def lam(n):
-            if n not in lam_cache:
-                lam_cache[n] = hecke_coeff(f, n).mpc(ctx)
-            return lam_cache[n]
+        n_top = min(int(budget / (2 * mp.pi * a)) + 1, f.coeff_bound)
+        lam = [None] + [v.mpc(ctx) for v in hecke_table(f, n_top)[1:]]
 
         def kernel_value(y):
             n_cut = int(budget / (2 * mp.pi * y)) + 1
@@ -165,10 +154,10 @@ class _SplitKernel:
             total = mp.mpc(0)
             for n in range(1, n_cut + 1):
                 if self.delta:
-                    total += lam(n) * mp.sqrt(n) * _v_params(
+                    total += lam[n] * mp.sqrt(n) * _v_params(
                         f.weight, f.eps, nu, -1, n * y, ctx)
                 else:
-                    total += lam(n) / mp.sqrt(n) * _v_params(
+                    total += lam[n] / mp.sqrt(n) * _v_params(
                         f.weight, f.eps, nu, 1, n * y, ctx)
             return total
 
@@ -193,29 +182,25 @@ class _SplitKernel:
         return sums
 
 
+@STORE.memo("kernel")
 def _get_kernel(f: MaassForm, ctx: PrecisionContext) -> _SplitKernel:
     """The cached kernel of f.  A self-dual form (see `_is_self_dual`) and
     its dual differ at most in the sign of nu and share one kernel, so the
     dual's key is served by the kernel of the one with Im nu >= 0 instead
     of a second build."""
-    key = (f, mp.prec)
-    if key not in _KERNEL_CACHE:
-        if f.nu.im < 0 and _is_self_dual(f):
-            _KERNEL_CACHE[key] = _get_kernel(dual_form(f), ctx)
-        else:
-            _KERNEL_CACHE[key] = _SplitKernel(f, ctx)
-    return _KERNEL_CACHE[key]
+    if f.nu.im < 0 and _is_self_dual(f):
+        return _get_kernel(dual_form(f), ctx)
+    return _SplitKernel(f, ctx)
 
 
+@STORE.memo("jet")
 def _make_evaluator(f: MaassForm, ctx: PrecisionContext):
     """Closure jet(s, m) -> [Lambda_f(s), Lambda_f'(s), ..., Lambda_f^(m)(s)]
-    as mpc.
+    as mpc, built once per (form, precision).
 
     One Mellin sweep per kernel side serves every order; each order is then
     the Leibniz combination of the form's moments with the dual's moments at
-    1 - s times the root-number phase.  Hoists the kernel-cache lookups
-    (hashing a form is not free) and the constant part of that phase out of
-    the evaluation path.
+    1 - s times the root-number phase.
     """
     kf = _get_kernel(f, ctx)
     kd = kf if _is_self_dual(f) else _get_kernel(dual_form(f), ctx)
@@ -267,12 +252,6 @@ def lambda_derivs(f: MaassForm, s, order: int,
 # differentiated functional equation
 # ---------------------------------------------------------------------------
 
-def _psi_prime(k: int, eps: int, nu, s):
-    """(d/ds)^2 log of the plus gamma factor."""
-    sp, sm = _shifts(k, eps, 1)
-    return (trigamma((s + sp + nu) / 2) + trigamma((s + sm - nu) / 2)) / 4
-
-
 def feofd_residual(f: MaassForm, s,
                    ctx: PrecisionContext | None = None) -> float:
     """Absolute residual of the differentiated functional equation
@@ -298,7 +277,8 @@ def feofd_residual(f: MaassForm, s,
                     f"|Lambda({mp.nstr(point, 8)})| = {mp.nstr(abs(v), 3)} "
                     f"is within 10x tolerance of a zero; resample s")
             log_dd = d2 / v - (d1 / v) ** 2
-            psi = _psi_prime(form.weight, form.eps, form.nu.mpc(ctx), point)
+            psi = _gamma_pair_dd(form.weight, form.eps, form.nu.mpc(ctx),
+                                 point)
             return v, v * log_dd - psi * v, psi
 
         lam_f, delta_f, psi_f = delta_parts(f, s)
@@ -375,7 +355,7 @@ _WINDING_LADDER = ((24, "0.5"), (32, "0.25"), (40, "0.125"))
 
 
 def _mirrored_contour_sum(jet, log_n, halfwidth, t_lo, t_hi, degree,
-                          max_len):
+                          max_len, ctx: PrecisionContext | None = None):
     """(1/2 pi i) of the Gauss-Legendre sum of g = Lambda'/Lambda around the
     box |Re s - 1/2| <= halfwidth, t_lo <= Im s <= t_hi, evaluating the jet
     only at nodes with Re s > 1/2; None when a node hits Lambda = 0.
@@ -391,7 +371,7 @@ def _mirrored_contour_sum(jet, log_n, halfwidth, t_lo, t_hi, degree,
     x0, x1 = half - halfwidth, half + halfwidth
     corners = [mp.mpc(x0, t_lo), mp.mpc(x1, t_lo),
                mp.mpc(x1, t_hi), mp.mpc(x0, t_hi)]
-    gl_x, gl_w = _gl_rule(degree)
+    gl_x, gl_w = _gl_rule(degree, ctx)
     total = mp.mpc(0)
     for a, b in zip(corners, corners[1:]):  # the left side is the mirror
         n_panels = max(1, int(mp.ceil(abs(b - a) / max_len)))
@@ -412,12 +392,14 @@ def _mirrored_contour_sum(jet, log_n, halfwidth, t_lo, t_hi, degree,
     return total / (2 * mp.pi * mp.mpc(0, 1))
 
 
-def _winding_number(jet, log_n, halfwidth, t_lo, t_hi):
+def _winding_number(jet, log_n, halfwidth, t_lo, t_hi,
+                    ctx: PrecisionContext | None = None):
     """Argument-principle count of zeros of Lambda inside the box
     |Re s - 1/2| <= halfwidth, t_lo <= Im s <= t_hi (symmetric about the
     critical line, so the functional-equation mirror serves its left half),
     by Gauss-Legendre quadrature of Lambda'/Lambda along the boundary.
-    `log_n` is log of the form's level.
+    `log_n` is log of the form's level; `ctx` sets the precision of the
+    Gauss-Legendre rules.
 
     Returns (count, quality) with quality the distance of the raw contour
     integral from the nearest integer, or (None, None) when no rung of the
@@ -425,7 +407,7 @@ def _winding_number(jet, log_n, halfwidth, t_lo, t_hi):
     """
     for degree, max_len in _WINDING_LADDER:
         val = _mirrored_contour_sum(jet, log_n, halfwidth, t_lo, t_hi,
-                                    degree, mp.mpf(max_len))
+                                    degree, mp.mpf(max_len), ctx)
         if val is None:
             continue
         count = int(mp.nint(val.real))
@@ -563,11 +545,11 @@ def scan_zeros(f: MaassForm, t0, t1, step,
 
         def resolve(lo, hi, depth=0):
             count, _ = _winding_number(jet, log_n, halfwidth,
-                                       mp.mpf(lo), mp.mpf(hi))
+                                       mp.mpf(lo), mp.mpf(hi), ctx)
             if count is None:
                 count, _ = _winding_number(jet, log_n, halfwidth,
                                            mp.mpf(lo) - step / 7,
-                                           mp.mpf(hi) + step / 7)
+                                           mp.mpf(hi) + step / 7, ctx)
             if count is None:
                 trouble.append(("winding quadrature failed", lo, hi))
             elif count == 0:
@@ -589,7 +571,7 @@ def scan_zeros(f: MaassForm, t0, t1, step,
             resolve(lo, hi)
 
         total, _ = _winding_number(jet, log_n, halfwidth, mp.mpf(bottom),
-                                   mp.mpf(t1))
+                                   mp.mpf(t1), ctx)
         records.sort(key=lambda z: z.rho.im)
         report = ScanReport((t0, t1), tuple(records),
                             -1 if total is None else total)
@@ -650,7 +632,7 @@ def delta_residue_check(f: MaassForm, rho: ZeroRecord,
             raise ValueError("degenerate isolation box")
         nearby, _ = _winding_number(
             jet, mp.log(f.level), 2 * r + abs(center.real - mp.mpf(1) / 2),
-            center.imag - 2 * r, center.imag + 2 * r)
+            center.imag - 2 * r, center.imag + 2 * r, ctx)
         if nearby != 1:
             raise IsolationError(
                 "contour not isolating: "
@@ -665,30 +647,25 @@ def delta_residue_check(f: MaassForm, rho: ZeroRecord,
 # dual-side Taylor residual
 # ---------------------------------------------------------------------------
 
-_TAYLOR_CACHE: dict = {}
 _CONTOUR_SIGMA = 3        # vertical line, shifted right of the classical
 _CONTOUR_STEP = 0.125     # Re=2 (exact by Cauchy) to shrink the series
 _CONTOUR_REACH = 40       # truncation floor by ~four orders of magnitude
 
 
+@STORE.memo("c")
 def _c_table(f: MaassForm, ctx: PrecisionContext):
-    key = (f, "c", mp.prec)
-    if key not in _TAYLOR_CACHE:
-        _TAYLOR_CACHE[key] = c_coeffs(f, f.coeff_bound, ctx)
-    return _TAYLOR_CACHE[key]
+    return c_coeffs(f, f.coeff_bound, ctx)
 
 
+@STORE.memo("c-dual-64", by_bits=False)
 def _c_dual_floats(f: MaassForm, ctx: PrecisionContext) -> np.ndarray:
     """Dual-form D-series coefficients (conjugates of the form's own) as a
-    1-indexed complex128 array."""
-    key = (f, "c-dual-64")
-    if key not in _TAYLOR_CACHE:
-        table = _c_table(f, ctx)
-        out = np.zeros(table.bound + 1, dtype=np.complex128)
-        for n, v in table.values.items():
-            out[n] = complex(v).conjugate()
-        _TAYLOR_CACHE[key] = out
-    return _TAYLOR_CACHE[key]
+    1-indexed complex128 array, one for every precision."""
+    table = _c_table(f, ctx)
+    out = np.zeros(table.bound + 1, dtype=np.complex128)
+    for n, v in table.values.items():
+        out[n] = complex(v).conjugate()
+    return out
 
 
 def _big_f(f: MaassForm, z, ctx: PrecisionContext):
@@ -715,35 +692,13 @@ def _big_f(f: MaassForm, z, ctx: PrecisionContext):
     return total
 
 
-def _p_ratio(f: MaassForm, s, a: int, m: int, nu):
-    """P(s; a, m): the signed gamma-factor ratio
-    gamma^sgn(1-s) / gamma^sgn(1-s-2*floor(m/2)), sgn = (-1)^a, reduced to
-    its polynomial form, with the weight-dependent case factors."""
-    sign = -1 if a % 2 else 1
-    if f.weight == 0 and sign == -f.eps:
-        return mp.mpc(0)
-    sp, sm = _shifts(f.weight, f.eps, sign)
-    half_m = m // 2
-    xp = 1 - s + sp + nu
-    xm = 1 - s + sm - nu
-    value = mp.mpc(1)
-    for i in range(1, half_m + 1):
-        value *= (xp - 2 * i) * (xm - 2 * i) / (2 * mp.pi) ** 2
-    if f.weight == 1 and m % 2 == 1:
-        value *= (s + 2 * half_m - sign * f.eps * nu) / (2 * mp.pi)
-    return value
-
-
+@STORE.memo("contour")
 def _taylor_contour(f: MaassForm, a: int, t: int, beta: Fraction, x_ratio,
                     ctx: PrecisionContext):
     """(1/2 pi i) int P_f(s; a+t, t) gamma_dual^((-1)^a)(s+t)
     D_dual(s+t, beta, cos^(a)) x_ratio^(1/2-s) ds over a vertical line in
     the absolute-convergence region (trapezoid; exponentially accurate in
     the step, truncated where the gamma decay is ~1e-27)."""
-    key = (f, a, t, beta, x_ratio, mp.prec)
-    if key in _TAYLOR_CACHE:
-        return _TAYLOR_CACHE[key]
-
     c_dual = _c_dual_floats(f, ctx)
     n_arr = np.arange(1, c_dual.size)
     angles = (2 * np.pi / beta.denominator) * \
@@ -763,16 +718,14 @@ def _taylor_contour(f: MaassForm, a: int, t: int, beta: Fraction, x_ratio,
     for j in range(-n_nodes, n_nodes + 1):
         tau = j * h
         s = mp.mpc(_CONTOUR_SIGMA, tau)
-        p_val = _p_ratio(f, s, (a + t) % 2, t, nu)
+        p_val = _p_poly(f, s, (a + t) % 2, t, nu)
         if p_val == 0:
             continue
         g_val = gamma_factor(dual_spec, s + t, ctx)
         d_val = complex(np.dot(u, np.exp(-1j * float(tau) * log_n)))
         total += p_val * g_val * mp.mpc(d_val) \
             * mp.exp((mp.mpf(1) / 2 - s) * log_x)
-    value = total * h / (2 * mp.pi)
-    _TAYLOR_CACHE[key] = value
-    return value
+    return total * h / (2 * mp.pi)
 
 
 def taylor_residual(f: MaassForm, alpha, y, T: int,

@@ -21,6 +21,7 @@ from ltwist.analytic import (GammaFactorSpec, PFactorSpec, _a_series,
                              kcos_closed, ksin_closed, ksin_closed_as_printed,
                              mellin_pair_check, modularity_residual, p_factor,
                              phi_machinery, reduction_check, v_profile)
+from ltwist.cli import FORM_CHECK_THRESHOLD
 from ltwist.errors import (ConvergenceError, DegenerateError, PoleError,
                            TailError)
 from ltwist.forms import MaassForm, Nebentypus, hecke_coeff
@@ -250,6 +251,24 @@ def test_eval_form_tail_error(ctx):
         eval_form(f, mp.mpc("0.3", "0.001"), ctx)
     with pytest.raises(ValueError):
         eval_form(f, mp.mpc("0.3", "-1"), ctx)
+
+
+@pytest.mark.parametrize("z", [(0.37213004114532805, 1.1559471664719247),
+                               (-0.12212635499566049, 0.6471041925222767),
+                               (0.37349400780328607, 0.6813722168757734),
+                               (0.3951937190871912, 1.1249138621367931)],
+                         ids=str)
+def test_form_check_passes_where_the_form_is_small(form_even, ctx, z):
+    """Points where the even fixture is small (|f| ~ 3e-11 to 2e-10): the
+    truncation must certify its tail relative to the form's natural scale
+    e^(-pi |Im nu| / 2), or the relative modularity residual that `form
+    check` reads is the tail itself (1.0e-4 to 4.7e-4 with an absolute
+    tol/2 budget)."""
+    with ctx.workprec():
+        z = mp.mpc(*z)
+        scale = abs(eval_form(form_even, z, ctx))
+        relative = modularity_residual(form_even, z, ctx) / scale
+    assert relative <= FORM_CHECK_THRESHOLD
 
 
 @pytest.mark.parametrize("k,nu_parts", [(0, ("0", "1.3")), (1, ("0.6",))])

@@ -1,6 +1,8 @@
 """FORM parsing/serialization, invariant enforcement, Hecke recurrences."""
 
 import io
+import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,8 +11,9 @@ from hypothesis import given, strategies as st
 
 from ltwist.errors import InvariantError, MissingPrimeError, ParseError
 from ltwist.forms import (FormFixture, MaassForm, Nebentypus, dual_form,
-                          hecke_coeff, kim_sarnak_bound, parse_fixture,
-                          parse_form, prime_power_a, serialize_form)
+                          hecke_coeff, hecke_table, kim_sarnak_bound,
+                          parse_fixture, parse_form, prime_power_a,
+                          serialize_form)
 from ltwist.precision import ComplexParam
 
 PRIMES_TO_97 = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
@@ -222,6 +225,47 @@ class TestHecke:
             for n in range(2, 1000 // m + 1):
                 if math.gcd(m, n) == 1:
                     assert table[m * n] == table[m] * table[n]
+
+    def test_table_satisfies_hecke_relation(self, ctx):
+        # lambda(m) lambda(n) = sum_{d | (m, n)} xi(d) lambda(mn / d^2) for
+        # m, n <= 1000 not coprime, at level 5 with a quartic nebentypus:
+        # every pair with mn <= 10^4 from the table alone, then 1000 seeded
+        # pairs with larger mn, whose right side comes from hecke_coeff
+        X = 10 ** 4
+        primes = [p for p in range(2, X + 1)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        coeffs = "\n".join(
+            f"{p} {'-' if i % 2 else ''}0.{(7 * i) % 100:02d} "
+            f"{'-' if i % 3 else ''}0.{(3 * i) % 50:02d}"
+            for i, p in enumerate(primes))
+        f = parse_form(minimal_text(N="5", xi="values: 1,0 0,1 0,-1 -1,0",
+                                    coeffs=coeffs), ctx)
+        table = hecke_table(f, X)
+
+        def rhs(m, n, lam):
+            g = math.gcd(m, n)
+            return sum((f.xi.value(d) * lam(m * n // (d * d))
+                        for d in range(1, g + 1) if g % d == 0), start=0)
+
+        for m in range(2, 101):
+            for n in range(m, min(1000, X // m) + 1):
+                if math.gcd(m, n) > 1:
+                    assert table[m] * table[n] == rhs(m, n, table.__getitem__)
+        rng = random.Random(15)
+        checked = 0
+        while checked < 1000:
+            m, n = rng.randint(2, 1000), rng.randint(2, 1000)
+            if math.gcd(m, n) > 1 and m * n > X:
+                assert table[m] * table[n] == rhs(m, n,
+                                                  lambda k: hecke_coeff(f, k))
+                checked += 1
+
+    def test_table_matches_hecke_coeff(self, minimal_form):
+        table = hecke_table(minimal_form, minimal_form.coeff_bound)
+        assert table[1:] == [hecke_coeff(minimal_form, n)
+                             for n in range(1, minimal_form.coeff_bound + 1)]
+        with pytest.raises(MissingPrimeError):
+            hecke_table(minimal_form, minimal_form.coeff_bound + 1)
 
     def test_missing_prime(self, minimal_form):
         with pytest.raises(MissingPrimeError):

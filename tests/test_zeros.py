@@ -16,11 +16,12 @@ import mpmath as mp
 import pytest
 
 from ltwist import zeros as zeros_mod
-from ltwist.analytic import GammaFactorSpec, PFactorSpec, gamma_factor, p_factor
+from ltwist.analytic import (GammaFactorSpec, PFactorSpec, _p_poly,
+                             gamma_factor, p_factor)
 from ltwist.errors import (ConvergenceError, InconclusiveError, IsolationError,
                            NearZeroError)
 from ltwist.forms import MaassForm, Nebentypus, dual_form
-from ltwist.precision import ComplexParam, PrecisionContext
+from ltwist.precision import STORE, ComplexParam, PrecisionContext
 from ltwist.series import TwistSpec, eval_series, lambda_table
 from ltwist.zeros import (ZeroRecord, delta_residue_check, feofd_residual,
                           lambda_complete, lambda_derivs, report_csv,
@@ -202,6 +203,30 @@ WEIGHT1_FORM = synthetic_form(1, 1, Fraction(9, 4))
 LEVEL2_FORM = synthetic_form(2, 0, Fraction(13, 2))
 
 
+def test_warm_paths_do_not_rehash_the_form(form_even, form_odd, ctx,
+                                            monkeypatch):
+    """Once warm, Lambda's jet and feofd find their kernels, jets and dual
+    form through the digest computed once per form object, without hashing
+    a single coefficient."""
+    s = mp.mpc(0.7, 2)
+    runs = ((form_even, FEOFD_CTX), (form_odd, ctx))
+    for f, fe_ctx in runs:
+        lambda_derivs(f, s, 2, ctx)
+        feofd_residual(f, s, fe_ctx)
+    hashed = []
+    plain = ComplexParam.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(ComplexParam, "__hash__", counted)
+    for f, fe_ctx in runs:
+        lambda_derivs(f, s, 2, ctx)
+        feofd_residual(f, s, fe_ctx)
+    assert len(hashed) == 0
+
+
 def test_self_dual_forms_share_one_kernel(form_even, form_odd, ctx):
     """A self-dual form and its dual (nu -> -nu) are served by one cached
     kernel, whose nodes equal a kernel built for the dual from scratch; a
@@ -211,9 +236,10 @@ def test_self_dual_forms_share_one_kernel(form_even, form_odd, ctx):
         feofd_residual(f, mp.mpc(0.7, 2), fe_ctx)
         dual = dual_form(f)
         with ctx.workprec():
-            kernels = {id(kernel) for (g, prec), kernel
-                       in zeros_mod._KERNEL_CACHE.items()
-                       if g in (f, dual) and prec == mp.mp.prec}
+            kernels = {id(kernel) for key, kernel in STORE.entries.items()
+                       if key[0] == "kernel"
+                       and key[1:] in ((f.digest, ctx.work_bits),
+                                       (dual.digest, ctx.work_bits))}
             shared = zeros_mod._get_kernel(dual, ctx)
             assert kernels == {id(shared)}
             assert shared is zeros_mod._get_kernel(f, ctx)
@@ -573,10 +599,11 @@ def test_taylor_contour_placement_invariance(form_even, ctx, monkeypatch):
     shifting it is exact by Cauchy, so the residual must not move."""
     args = (form_even, Fraction(1, 5), Fraction(1, 40), 3, ctx)
     base = taylor_residual(*args)
-    zeros_mod._TAYLOR_CACHE.clear()
+    monkeypatch.setattr(STORE, "entries", {
+        key: value for key, value in STORE.entries.items()
+        if key[0] != "contour"})
     monkeypatch.setattr(zeros_mod, "_CONTOUR_SIGMA", 2.5)
     shifted = taylor_residual(*args)
-    zeros_mod._TAYLOR_CACHE.clear()
     assert abs(base - shifted) <= 1e-18
 
 
@@ -584,9 +611,9 @@ def test_taylor_contour_cache_keys_exact_height(form_even, monkeypatch):
     """Heights that agree to 36 digits are still different heights: at
     192 bits each gets its own contour, and a cached value equals a fresh
     computation."""
-    monkeypatch.setattr(zeros_mod, "_TAYLOR_CACHE", {
-        key: value for key, value in zeros_mod._TAYLOR_CACHE.items()
-        if key[1] not in (0, 1)})
+    monkeypatch.setattr(STORE, "entries", {
+        key: value for key, value in STORE.entries.items()
+        if key[0] != "contour"})
     fine = PrecisionContext(work_bits=192, tol=1e-10)
     beta = Fraction(-7, 3)
     with fine.workprec():
@@ -596,7 +623,9 @@ def test_taylor_contour_cache_keys_exact_height(form_even, monkeypatch):
         first = zeros_mod._taylor_contour(form_even, 0, 0, beta, x, fine)
         near = zeros_mod._taylor_contour(form_even, 0, 0, beta, x_near, fine)
         assert near != first
-        zeros_mod._TAYLOR_CACHE.clear()
+        monkeypatch.setattr(STORE, "entries", {
+            key: value for key, value in STORE.entries.items()
+            if key[0] != "contour"})
         assert zeros_mod._taylor_contour(form_even, 0, 0, beta, x_near,
                                          fine) == near
 
@@ -606,12 +635,12 @@ def test_taylor_contour_cache_hits_across_truncation_orders(form_odd, ctx,
     """A T = 1, 2, 3 sweep at one height computes each (a, t) contour once;
     the halved height computes its own."""
     # the session's coefficient tables stay; contours of other tests do not
-    cache = {key: value for key, value in zeros_mod._TAYLOR_CACHE.items()
-             if key[1] not in (0, 1)}
-    monkeypatch.setattr(zeros_mod, "_TAYLOR_CACHE", cache)
+    cache = {key: value for key, value in STORE.entries.items()
+             if key[0] != "contour"}
+    monkeypatch.setattr(STORE, "entries", cache)
 
     def contours():
-        return sum(1 for key in cache if key[1] in (0, 1))
+        return sum(1 for key in cache if key[0] == "contour")
 
     alpha = Fraction(3, 7)
     y = alpha / 8
@@ -640,15 +669,15 @@ def test_taylor_reflected_series_exhausts_table(form_even, ctx):
 
 
 def test_p_ratio_matches_analytic_p_factor(form_even, form_odd, ctx):
-    """Same polynomial, two modules: the Taylor contour's inline copy must
-    track the reduction-suite implementation exactly."""
+    """The polynomial body the Taylor contour calls at mpc points must
+    track the reduction-suite entry point exactly."""
     s = mp.mpc(1.3, 0.7)
     for _, f in both_forms(form_even, form_odd):
         with ctx.workprec():
             nu = f.nu.mpc(ctx)
             for a in (0, 1):
                 for m in range(6):
-                    inline = zeros_mod._p_ratio(f, s, a, m, nu)
+                    inline = _p_poly(f, s, a, m, nu)
                     reference = p_factor(
                         PFactorSpec(ComplexParam.coerce(complex(s)), a, m),
                         f, ctx)

@@ -15,17 +15,12 @@ each integral's quadrature nodes per point, one complex exponential per node,
 yields the moments of all orders at once.
 
 On top of that sit: residuals of the differentiated functional equation, a
-critical-strip zero scanner whose multiplicity certificates are
-argument-principle winding numbers, the contour residue check at a certified
-simple zero, and the end-to-end dual-side Taylor residual, which compares
-the reflected D-series Fourier expansion against Mellin-Barnes integrals of
-the polynomial gamma-ratio factors times twisted D-series.
-
-Every winding box is symmetric about the critical line.  The reflection
-s -> 1 - conj(s) maps such a box onto itself, and the split representation
-gives Lambda'/Lambda(1 - conj s) = -log N - conj(Lambda'/Lambda(s)), so the
-jet is evaluated only at the quadrature nodes with Re s > 1/2; each left-hand
-node's term of the same Gauss-Legendre sum comes from its mirror image.
+critical-strip zero scanner whose multiplicity certificates are Backlund
+strip counts (the functional-equation mirror serves the left half of each
+strip's boundary), the contour residue check at a certified simple zero, and
+the end-to-end dual-side Taylor residual, which compares the reflected
+D-series Fourier expansion against Mellin-Barnes integrals of the polynomial
+gamma-ratio factors times twisted D-series.
 
 Numerical policy: certified quantities are computed with mpmath at the
 context's working precision.  The only float64 shortcut is the bulk
@@ -43,14 +38,14 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from .analytic import (GammaFactorSpec, _gamma_pair_dd, _p_poly, _v_params,
-                       gamma_factor)
+from .analytic import (GammaFactorSpec, _gamma_pair_dd, _p_poly, _shifts,
+                       _v_params, gamma_factor)
 from .errors import (ConvergenceError, InconclusiveError, IsolationError,
                      NearZeroError, TailError)
 from .forms import MaassForm, dual_form, hecke_table
 from .precision import (STORE, ComplexParam, PrecisionContext,
                         default_context, to_mpc, to_real)
-from .series import c_coeffs
+from .series import _tail_bound, c_coeffs
 
 __all__ = [
     "ZeroRecord", "ScanReport", "lambda_complete", "lambda_derivs",
@@ -66,14 +61,10 @@ _param_from_mpc = ComplexParam.coerce
 # Gauss-Legendre panels at working precision
 # ---------------------------------------------------------------------------
 
-def _gl_rule(n: int, ctx: PrecisionContext | None = None):
-    """Nodes/weights on [-1, 1] at the context's working precision: float64
-    seeds polished by Newton iteration on the Legendre recurrence."""
-    return _gl_nodes(n, ctx or default_context())
-
-
 @STORE.memo("gl")
 def _gl_nodes(n: int, ctx: PrecisionContext):
+    """Gauss-Legendre nodes/weights on [-1, 1] at working precision: float64
+    seeds polished by Newton iteration on the Legendre recurrence."""
     seeds, _ = np.polynomial.legendre.leggauss(n)
 
     def legendre_pair(x):
@@ -140,7 +131,7 @@ class _SplitKernel:
         edges = [a]
         while edges[-1] < y_top:
             edges.append(min(2 * edges[-1], y_top))
-        gl_x, gl_w = _gl_rule(_GL_DEGREE, ctx)
+        gl_x, gl_w = _gl_nodes(_GL_DEGREE, ctx)
         nu = f.nu.mpc(ctx)
         n_top = min(int(budget / (2 * mp.pi * a)) + 1, f.coeff_bound)
         lam = [None] + [v.mpc(ctx) for v in hecke_table(f, n_top)[1:]]
@@ -349,72 +340,87 @@ def report_csv(report: ScanReport) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# Gauss-Legendre degree and longest panel of each retry rung (even degrees:
-# no node sits at a panel's midpoint).
-_WINDING_LADDER = ((24, "0.5"), (32, "0.25"), (40, "0.125"))
+# Right edge of the counted strip: zeta(sigma_1 - KS_THETA)^2 - 1 < 1/2 and
+# |lambda(n)| <= d(n) n^KS_THETA give |L - 1| < 1/2, |arg L| < pi/6 there.
+_SIGMA_1 = mp.mpf(25) / 8
+_CORNER_TERMS = 100   # lambda-series terms of the corner cross-check
+_TRACK_DEPTH = 9      # bisections of a horizontal track before it fails
 
 
-def _mirrored_contour_sum(jet, log_n, halfwidth, t_lo, t_hi, degree,
-                          max_len, ctx: PrecisionContext | None = None):
-    """(1/2 pi i) of the Gauss-Legendre sum of g = Lambda'/Lambda around the
-    box |Re s - 1/2| <= halfwidth, t_lo <= Im s <= t_hi, evaluating the jet
-    only at nodes with Re s > 1/2; None when a node hits Lambda = 0.
+def _refine(sample, pts, min_gap):
+    """Bisect the sampled path pts = [(x, value), ...] in place until arg
+    moves by at most pi/2 between neighbours; returns the left ends of the
+    intervals that reached length min_gap first or touch a zero sample."""
+    exhausted, i = [], 0
+    while i + 1 < len(pts):
+        (xa, va), (xb, vb) = pts[i], pts[i + 1]
+        if va != 0 and vb != 0 and abs(mp.arg(vb / va)) <= mp.pi / 2:
+            i += 1
+        elif xb - xa <= min_gap:
+            exhausted.append(xa)
+            i += 1
+        else:
+            xm = (xa + xb) / 2
+            pts.insert(i + 1, (xm, sample(xm)))
+    return exhausted
 
-    The reflection R(s) = 1 - conj(s) maps the box onto itself with its
-    orientation reversed, so the node R(s) carries the contour element
-    conj(ds), and the split representation gives
-    g(R(s)) = -log N - conj(g(s)).  Each mirrored pair of nodes therefore
-    contributes 2i Im(g ds) - log N conj(ds): the full sum over bottom,
-    right, top and left sides from the bottom, right and top nodes alone.
-    """
+
+@STORE.memo("strip")
+def _strip_sides(f: MaassForm, ctx: PrecisionContext):
+    """(jet, log N, log_gamma, check): what `_strip_count` needs of f.
+    check(s, l) raises InconclusiveError unless l = Lambda_split / gamma^+ at
+    s = sigma_1 + it is within a relative 1/2 of the lambda-series (plus its
+    certified tail): only then does l share the principal branch of arg L."""
+    nu, (sp, sm) = f.nu.mpc(ctx), _shifts(f.weight, f.eps, 1)
+    n_top = min(_CORNER_TERMS, f.coeff_bound)
+    lam = hecke_table(f, n_top)
+    coeffs = [(n, lam[n].mpc(ctx)) for n in range(1, n_top + 1)]
+    tail = _tail_bound("lambda", n_top, _SIGMA_1, ctx)
+
+    def log_gamma(s):  # log gamma^+, continuous on Re s >= 1/2 (no poles)
+        return sum(mp.loggamma(w / 2) - w / 2 * mp.log(mp.pi)
+                   for w in (s + sp + nu, s + sm - nu))
+
+    def check(s, l_split):
+        l_series = sum(c * mp.power(n, -s) for n, c in coeffs)
+        if abs(l_split - l_series) + tail >= (abs(l_series) - tail) / 2:
+            raise InconclusiveError(
+                f"split Lambda is not gamma*L at s = {mp.nstr(s, 8)}: the "
+                f"form's data stop short of this height (relative gap "
+                f"{mp.nstr(abs(l_split / l_series - 1), 3)})")
+
+    return _make_evaluator(f, ctx), mp.log(f.level), log_gamma, check
+
+
+def _strip_count(jet, log_n, log_gamma, check, tol, t_lo, t_hi) -> int:
+    """Backlund count of the zeros of Lambda = exp(log_gamma) L in
+    1 - sigma_1 <= Re s <= sigma_1, t_lo <= Im s <= t_hi.  arg Lambda on
+    1/2 + i t_lo -> sigma_1 + i t_lo -> sigma_1 + i t_hi -> 1/2 + i t_hi is
+    Im log_gamma between the ends plus the change of arg L: tracked from
+    order-0 jet samples on the horizontal sides, a principal value at the
+    corners that `check` vets.  Lambda(1 - conj s) = omega N^(conj s - 1/2)
+    conj Lambda(s), so the left half adds the same plus (t_hi - t_lo) log N.
+    Raises InconclusiveError on |L| <= tol at an on-line end (a zero on the
+    edge), a track unresolved after `_TRACK_DEPTH` bisections, or `check`."""
     half = mp.mpf(1) / 2
-    x0, x1 = half - halfwidth, half + halfwidth
-    corners = [mp.mpc(x0, t_lo), mp.mpc(x1, t_lo),
-               mp.mpc(x1, t_hi), mp.mpc(x0, t_hi)]
-    gl_x, gl_w = _gl_rule(degree, ctx)
-    total = mp.mpc(0)
-    for a, b in zip(corners, corners[1:]):  # the left side is the mirror
-        n_panels = max(1, int(mp.ceil(abs(b - a) / max_len)))
-        for i in range(n_panels):
-            lo = a + (b - a) * mp.mpf(i) / n_panels
-            hi = a + (b - a) * mp.mpf(i + 1) / n_panels
-            mid, radius = (lo + hi) / 2, (hi - lo) / 2
-            for x, w in zip(gl_x, gl_w):
-                s = mid + radius * x
-                assert s.real != half, "winding node on the mirror line"
-                if s.real < half:
-                    continue
-                v, d = jet(s, 1)
-                if v == 0:
-                    return None
-                ds = w * radius
-                total += mp.mpc(0, 2 * mp.im(ds * d / v)) - log_n * mp.conj(ds)
-    return total / (2 * mp.pi * mp.mpc(0, 1))
 
+    def track(t):
+        """(change of arg L from 1/2 + it to sigma_1 + it, arg L there)"""
+        def sample(x):
+            return jet(mp.mpc(x, t), 0)[0] * mp.exp(-log_gamma(mp.mpc(x, t)))
+        pts = [(half, sample(half)), (_SIGMA_1, sample(_SIGMA_1))]
+        if abs(pts[0][1]) <= tol:
+            raise InconclusiveError(f"a zero within tolerance of 1/2 + {t}i")
+        if _refine(sample, pts, (_SIGMA_1 - half) / 2 ** _TRACK_DEPTH):
+            raise InconclusiveError(f"arg L unresolved on Im s = {t}")
+        check(mp.mpc(_SIGMA_1, t), pts[-1][1])
+        return (sum(mp.arg(vb / va) for (_, va), (_, vb) in zip(pts, pts[1:])),
+                mp.arg(pts[-1][1]))
 
-def _winding_number(jet, log_n, halfwidth, t_lo, t_hi,
-                    ctx: PrecisionContext | None = None):
-    """Argument-principle count of zeros of Lambda inside the box
-    |Re s - 1/2| <= halfwidth, t_lo <= Im s <= t_hi (symmetric about the
-    critical line, so the functional-equation mirror serves its left half),
-    by Gauss-Legendre quadrature of Lambda'/Lambda along the boundary.
-    `log_n` is log of the form's level; `ctx` sets the precision of the
-    Gauss-Legendre rules.
-
-    Returns (count, quality) with quality the distance of the raw contour
-    integral from the nearest integer, or (None, None) when no rung of the
-    retry ladder produced a near-integer (e.g. a zero sits on the contour).
-    """
-    for degree, max_len in _WINDING_LADDER:
-        val = _mirrored_contour_sum(jet, log_n, halfwidth, t_lo, t_hi,
-                                    degree, mp.mpf(max_len), ctx)
-        if val is None:
-            continue
-        count = int(mp.nint(val.real))
-        quality = abs(val - count)
-        if quality < mp.mpf("0.15"):
-            return count, float(quality)
-    return None, None
+    (turn_lo, arg_lo), (turn_hi, arg_hi) = track(t_lo), track(t_hi)
+    rise = mp.im(log_gamma(half + 1j * t_hi) - log_gamma(half + 1j * t_lo))
+    return int(mp.nint((rise + turn_lo + arg_hi - arg_lo - turn_hi) / mp.pi
+                       + (t_hi - t_lo) * log_n / (2 * mp.pi)))
 
 
 def scan_zeros(f: MaassForm, t0, t1, step,
@@ -428,16 +434,16 @@ def scan_zeros(f: MaassForm, t0, t1, step,
     the zero, so certificates track the natural local size of Lambda.
 
     Candidates (argument wraps, dips, and -- when the form is self-dual --
-    sign changes of the rotated sample) are merged into boxes of half-width
-    `re_halfwidth` around the critical line; each box's winding number is
-    computed by quadrature of Lambda'/Lambda, with the jet evaluated on the
-    right half of the box only and the left half served by the
-    functional-equation mirror (see `_winding_number`); winding-1 boxes get a
-    Newton-located zero re-verified against |Lambda| <= tol_used, and
-    simplicity additionally requires |Lambda'| > 10 tol_used.  Unresolvable
-    boxes raise InconclusiveError (with .boxes and .partial_report attached)
-    rather than being dropped.  When t0 == 0 the count box extends half a
-    step below the real axis so a central zero is counted exactly once.
+    sign changes of the rotated sample) are merged into spans of heights,
+    each counted by `_strip_count` (retried once, widened by step/7).  A
+    span counting one zero gets a Newton-located zero, which must lie in the
+    span within `re_halfwidth` of the critical line and is re-verified
+    against |Lambda| <= tol_used; simplicity additionally requires
+    |Lambda'| > 10 tol_used.  A span counting more is split.  Unresolvable
+    spans raise InconclusiveError (with .boxes and .partial_report) rather
+    than being dropped.  The total is a strip count over the window, from
+    half a step below the real axis when t0 == 0, so a central zero is
+    counted exactly once.
     """
     ctx = ctx or default_context()
     t0, t1, step = float(t0), float(t1), float(step)
@@ -450,6 +456,7 @@ def scan_zeros(f: MaassForm, t0, t1, step,
 
     with ctx.workprec():
         jet = _make_evaluator(f, ctx)
+        sides = _strip_sides(f, ctx)
         gspec = GammaFactorSpec.from_form(f, 1)
         half = mp.mpf(1) / 2
 
@@ -465,20 +472,7 @@ def scan_zeros(f: MaassForm, t0, t1, step,
         pts = [(t, sample(t)) for t in grid]
 
         # adaptive refinement: argument increment below pi/2 per interval
-        min_gap = (t1 - t0) / n_steps / 2 ** max_depth
-        exhausted = []
-        i = 0
-        while i + 1 < len(pts):
-            (ta, va), (tb, vb) = pts[i], pts[i + 1]
-            if va != 0 and vb != 0 and abs(mp.arg(vb / va)) <= mp.pi / 2:
-                i += 1
-                continue
-            if tb - ta <= min_gap:
-                exhausted.append(float(ta))
-                i += 1
-                continue
-            tm = (ta + tb) / 2
-            pts.insert(i + 1, (tm, sample(tm)))
+        exhausted = _refine(sample, pts, (t1 - t0) / n_steps / 2 ** max_depth)
 
         scale_ref = max(abs(v) for _, v in pts)
 
@@ -498,7 +492,7 @@ def scan_zeros(f: MaassForm, t0, t1, step,
                 flagged.add(float(ta))
             if min(abs(va), abs(vb)) < 1e-5 * scale_ref:
                 flagged.add(float(ta))
-        flagged.update(exhausted)
+        flagged.update(float(ta) for ta in exhausted)
 
         uppers = {float(ta): float(tb)
                   for (ta, _), (tb, _) in zip(pts, pts[1:])}
@@ -514,7 +508,6 @@ def scan_zeros(f: MaassForm, t0, t1, step,
             else:
                 spans.append((lo, hi))
 
-        log_n, halfwidth = mp.log(f.level), mp.mpf(re_halfwidth)
         abs_at = {float(t): abs(v) for t, v in pts}
         records = []
         trouble = []
@@ -534,7 +527,8 @@ def scan_zeros(f: MaassForm, t0, t1, step,
                 v, d = jet(s, 1)
             final = abs(v)
             lpa = float(abs(d))
-            if final > tol_used or lpa <= 10 * tol_used:
+            in_span = lo <= s.imag <= hi and abs(s.real - half) <= re_halfwidth
+            if final > tol_used or lpa <= 10 * tol_used or not in_span:
                 trouble.append(("certificate failed", lo, hi))
                 return
             records.append(ZeroRecord(
@@ -543,16 +537,19 @@ def scan_zeros(f: MaassForm, t0, t1, step,
                      (float(re_halfwidth), (hi - lo) / 2)),
                 tol_used=tol_used))
 
+        def strip(lo, hi):
+            return _strip_count(*sides, ctx.tol, mp.mpf(lo), mp.mpf(hi))
+
         def resolve(lo, hi, depth=0):
-            count, _ = _winding_number(jet, log_n, halfwidth,
-                                       mp.mpf(lo), mp.mpf(hi), ctx)
-            if count is None:
-                count, _ = _winding_number(jet, log_n, halfwidth,
-                                           mp.mpf(lo) - step / 7,
-                                           mp.mpf(hi) + step / 7, ctx)
-            if count is None:
-                trouble.append(("winding quadrature failed", lo, hi))
-            elif count == 0:
+            try:
+                try:
+                    count = strip(lo, hi)
+                except InconclusiveError:
+                    count = strip(lo - step / 7, hi + step / 7)
+            except InconclusiveError as exc:
+                trouble.append((f"strip count failed: {exc}", lo, hi))
+                return
+            if count == 0:
                 pass
             elif count == 1:
                 certify_single(lo, hi)
@@ -570,8 +567,11 @@ def scan_zeros(f: MaassForm, t0, t1, step,
         for lo, hi in spans:
             resolve(lo, hi)
 
-        total, _ = _winding_number(jet, log_n, halfwidth, mp.mpf(bottom),
-                                   mp.mpf(t1), ctx)
+        try:
+            total = strip(bottom, t1)
+        except InconclusiveError as exc:
+            total = None
+            trouble.append((f"strip count failed: {exc}", bottom, t1))
         records.sort(key=lambda z: z.rho.im)
         report = ScanReport((t0, t1), tuple(records),
                             -1 if total is None else total)
@@ -579,10 +579,10 @@ def scan_zeros(f: MaassForm, t0, t1, step,
         certified = sum(z.winding for z in records)
         if trouble or total is None or certified != total:
             exc = InconclusiveError(
-                f"scan of [{t0}, {t1}] not fully certified: boxes account "
-                f"for {certified} zeros, argument-principle count is "
+                f"scan of [{t0}, {t1}] not fully certified: spans account "
+                f"for {certified} zeros, the strip count is "
                 f"{'unresolved' if total is None else total}; "
-                f"unresolved boxes: {trouble}")
+                f"unresolved spans: {trouble}")
             exc.boxes = tuple(trouble)
             exc.partial_report = report
             raise exc
@@ -615,11 +615,8 @@ def delta_residue_check(f: MaassForm, rho: ZeroRecord,
     -Lambda'(rho), so the return value vanishes up to quadrature error.  The
     contour radius r is half the record's smaller box radius; IsolationError
     is raised when the doubled radius is not free of other zeros.  Isolation
-    is certified by a winding count of 1 over the box symmetric about the
-    critical line with half-width 2r + |Re rho - 1/2| and heights
-    Im rho +- 2r: a superset of the square of half-side 2r about rho (the
-    same box when rho is on the line), which the functional-equation mirror
-    can count from its right half.
+    is certified by a strip count of 1 over the heights Im rho +- 2r, which
+    holds every zero of Lambda at those heights.
     """
     ctx = ctx or default_context()
     if points < 8:
@@ -630,15 +627,15 @@ def delta_residue_check(f: MaassForm, rho: ZeroRecord,
         r = mp.mpf(min(rho.box[1])) / 2
         if r <= 0:
             raise ValueError("degenerate isolation box")
-        nearby, _ = _winding_number(
-            jet, mp.log(f.level), 2 * r + abs(center.real - mp.mpf(1) / 2),
-            center.imag - 2 * r, center.imag + 2 * r, ctx)
+        try:
+            nearby = _strip_count(*_strip_sides(f, ctx), ctx.tol,
+                                  center.imag - 2 * r, center.imag + 2 * r)
+        except InconclusiveError as exc:
+            raise IsolationError(f"contour not isolating: {exc}") from exc
         if nearby != 1:
             raise IsolationError(
-                "contour not isolating: "
-                + ("quadrature unresolved" if nearby is None
-                   else f"{nearby} zeros")
-                + f" within radius {float(2 * r):.4g} of the zero")
+                f"contour not isolating: {nearby} zeros within radius "
+                f"{float(2 * r):.4g} of the zero")
         residue = _delta_contour(jet, center, r, points)
         return float(abs(residue + jet(center, 1)[1]))
 

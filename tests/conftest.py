@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from pathlib import Path
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, settings
 from ltwist.forms import parse_fixture
 from ltwist.precision import PrecisionContext
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_DIR = resources.files("ltwist") / "fixtures"
 
 # Deterministic property tests: no flaky CI, reproducible counterexamples.
 settings.register_profile(

@@ -12,8 +12,7 @@ from ltwist import errors
 from ltwist.cli import SuiteResult, main
 from ltwist.zeros import lambda_complete, report_jsonl, scan_zeros
 
-FIXTURE = str(Path(__file__).resolve().parent.parent
-              / "fixtures" / "level1_even.form")
+FIXTURE = str(resources.files("ltwist") / "fixtures" / "level1_even.form")
 
 
 @pytest.fixture()
@@ -149,6 +148,22 @@ def test_zeros_scan_jsonl_matches_module(runner, form_even, ctx):
     assert body == report_jsonl(scan_zeros(form_even, 0.0, 3.0, 0.25, ctx))
 
 
+@pytest.mark.parametrize("t0, t1, code, zeros", [
+    ("24", "26", 0, [25.43930000450789]),
+    ("38", "40", 3, []),
+])
+def test_zeros_scan_stops_at_the_data_floor(runner, t0, t1, code, zeros):
+    """Above t ~ 37 the even fixture's split Lambda no longer matches
+    gamma L at the strip's corners, so the scan is inconclusive instead of
+    certifying a zero-free window; below, its zero is still certified."""
+    result = runner.invoke(main, ["zeros", "scan", "--t0", t0, "--t1", t1,
+                                  "--form", FIXTURE, "--format", "jsonl"])
+    assert result.exit_code == code
+    found = [json.loads(ln)["t"] for ln in body_lines(result.output)
+             if ln.startswith("{")]
+    assert found == zeros
+
+
 def test_threads_flag_never_changes_values(runner):
     args = ["eval", "lambda", "--s", "1.5,2", "--form", FIXTURE]
     one = runner.invoke(main, args + ["--threads", "1"])
@@ -241,14 +256,3 @@ def test_pole_sample_error_asks_for_resample(runner, monkeypatch):
     result = runner.invoke(main, ["eval", "lambda", "--s", "1,1",
                                   "--form", FIXTURE])
     assert result.exit_code == 3
-
-
-# ---------------------------------------------------------------------------
-# packaged data
-
-
-def test_packaged_fixtures_match_repo_copies():
-    for name in ("level1_even.form", "level1_odd.form"):
-        packaged = (resources.files("ltwist") / "fixtures" / name).read_bytes()
-        repo = (Path(FIXTURE).parent / name).read_bytes()
-        assert packaged == repo

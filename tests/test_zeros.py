@@ -4,7 +4,7 @@ and the dual-side Taylor expansion, all on the two bundled level-1 fixtures.
 The heavy cross-validation here is the Re(s)=3 two-method check: the split
 Mellin integral (this module's continuation route) against gamma_factor times
 the certified Dirichlet series.  Everything downstream — derivatives, the
-functional-equation residuals, winding counts, residues, Taylor contours —
+functional-equation residuals, strip counts, residues, Taylor contours —
 feeds off the same kernel, so that one comparison anchors the lot.
 """
 
@@ -154,8 +154,8 @@ def test_lambda_derivs_is_jet_entry(form_even, form_odd, ctx, s):
 
 
 def test_one_mellin_sweep_per_side_per_point(form_odd, ctx, monkeypatch):
-    """A winding node costs one sweep per kernel side for Lambda and
-    Lambda' together, and feofd one per side for orders 0-2."""
+    """A strip count costs one order-0 sweep per kernel side for each sample
+    of Lambda, and feofd one per side for orders 0-2."""
     orders = []
     sweep = zeros_mod._SplitKernel.mellin
 
@@ -165,15 +165,14 @@ def test_one_mellin_sweep_per_side_per_point(form_odd, ctx, monkeypatch):
 
     monkeypatch.setattr(zeros_mod._SplitKernel, "mellin", counted)
     with ctx.workprec():
-        jet = zeros_mod._make_evaluator(form_odd, ctx)
-        count, quality = zeros_mod._winding_number(
-            jet, mp.log(form_odd.level), mp.mpf("0.1"), mp.mpf("3.4"),
+        count = zeros_mod._strip_count(
+            *zeros_mod._strip_sides(form_odd, ctx), ctx.tol, mp.mpf("3.4"),
             mp.mpf("3.6"))
-    assert count == 0 and quality < 0.15
-    # four 0.2-long edges, one 24-point panel each; the functional-equation
-    # mirror serves the left edge and the left halves of bottom and top
-    nodes = 12 + 24 + 12
-    assert orders == [1] * (2 * nodes)
+    assert count == 0
+    # both ends of the bottom and top sides, no bisection; the right side
+    # takes no samples and the functional-equation mirror serves the left
+    samples = 2 + 2
+    assert orders == [0] * (2 * samples)
 
     orders.clear()
     feofd_residual(form_odd, mp.mpc(0.7, 2), ctx)
@@ -257,7 +256,7 @@ def test_self_dual_forms_share_one_kernel(form_even, form_odd, ctx):
 
 
 # ---------------------------------------------------------------------------
-# winding numbers: the functional-equation mirror against the full contour
+# strip counts: the functional-equation mirror against the full contour
 
 
 def log_derivative(jet, s):
@@ -270,7 +269,7 @@ def log_derivative(jet, s):
                                mp.mpc(0.55, 0.05), mp.mpc(1.5, 7)], ids=str)
 def test_log_derivative_reflection_identity(form_even, form_odd, ctx, s):
     """g(1 - conj s) = -log N - conj g(s) for g = Lambda'/Lambda, the
-    identity the mirrored winding sum rests on."""
+    identity the strip count's mirror rests on."""
     for f in (form_even, form_odd, WEIGHT1_FORM, LEVEL2_FORM):
         with ctx.workprec():
             jet = zeros_mod._make_evaluator(f, ctx)
@@ -280,12 +279,13 @@ def test_log_derivative_reflection_identity(form_even, form_odd, ctx, s):
             assert abs(mirrored - expected) <= 1e-30 * max(1, abs(g))
 
 
-def full_contour_sum(jet, x0, x1, t_lo, t_hi, degree, max_len):
+def full_contour_sum(jet, x0, x1, t_lo, t_hi, degree, max_len, ctx):
     """(1/2 pi i) of the Gauss-Legendre sum of Lambda'/Lambda over all four
-    sides of the box, every node evaluated: the reference for the mirror."""
+    sides of the box, every node evaluated: the reference for the strip
+    count."""
     corners = [mp.mpc(x0, t_lo), mp.mpc(x1, t_lo), mp.mpc(x1, t_hi),
                mp.mpc(x0, t_hi), mp.mpc(x0, t_lo)]
-    gl_x, gl_w = zeros_mod._gl_rule(degree)
+    gl_x, gl_w = zeros_mod._gl_nodes(degree, ctx)
     total = mp.mpc(0)
     for a, b in zip(corners, corners[1:]):
         n_panels = max(1, int(mp.ceil(abs(b - a) / max_len)))
@@ -298,18 +298,27 @@ def full_contour_sum(jet, x0, x1, t_lo, t_hi, degree, max_len):
     return total / (2j * mp.pi)
 
 
-def synthetic_level_jet(level, rho):
-    """Jet of Lambda(s) = N^(-s/2) (s - rho)(s - 1 + conj rho) e^((s-1/2)^2),
-    which satisfies Lambda(s) = N^(1/2-s) conj Lambda(1 - conj s) as a
-    level-N completed L-function does, with two zeros off the critical line
-    in a known place."""
+def synthetic_level_sides(level, rho):
+    """Strip-count arguments for Lambda(s) = N^(-s/2) (s - rho)(s - 1 +
+    conj rho) e^((s-1/2)^2), which satisfies Lambda(s) = N^(1/2-s)
+    conj Lambda(1 - conj s) as a level-N completed L-function does, with two
+    zeros off the critical line in a known place.  Its "gamma" is
+    N^(-s/2) e^((s-1/2)^2) and its "L" the quadratic, whose principal arg
+    is continuous on Re s = 25/8 (both factors have positive real part)."""
     def jet(s, m):
         quad = (s - rho) * (s - 1 + mp.conj(rho))
         outer = mp.power(level, -s / 2) * mp.exp((s - 0.5) ** 2)
         d_outer = outer * (2 * (s - 0.5) - mp.log(level) / 2)
         d_quad = 2 * s - 1 - rho + mp.conj(rho)
         return [quad * outer, d_quad * outer + quad * d_outer][:m + 1]
-    return jet
+
+    def log_gamma(s):
+        return -s / 2 * mp.log(level) + (s - 0.5) ** 2
+
+    def check(s, l_value):
+        pass
+
+    return jet, mp.log(level), log_gamma, check
 
 
 @pytest.mark.parametrize("kind, t_lo, t_hi, zeros_inside", [
@@ -317,41 +326,46 @@ def synthetic_level_jet(level, rho):
     ("even", "2.772", "3.023", 1),
     ("odd", "-0.125", "0.25", 1),
     ("level 11", "1", "2", 2),
-    ("weight 1", "4", "4.5", 0),
-    ("level 2", "6.25", "7", 1),
 ])
 def test_mirrored_winding_matches_full_contour(form_even, form_odd, ctx,
                                                kind, t_lo, t_hi,
                                                zeros_inside):
-    """The winding sum from the right half of the box equals the sum over
-    every node of the full contour, and both give the same count."""
-    degree, max_len = zeros_mod._WINDING_LADDER[0]
-    seen = {}
-
-    def jet(s, m):  # the winding count revisits the mirrored sum's nodes
-        if (s, m) not in seen:
-            seen[s, m] = evaluate(s, m)
-        return seen[s, m]
-
+    """The strip count, which follows arg Lambda on the right half of the
+    strip's boundary only, equals the count from every node of the whole
+    boundary."""
     with ctx.workprec():
         if kind == "level 11":
-            evaluate, log_n = synthetic_level_jet(11, mp.mpc(0.55, 1.4)), \
-                mp.log(11)
+            sides = synthetic_level_sides(11, mp.mpc(0.55, 1.4))
         else:
-            f = {"even": form_even, "odd": form_odd, "weight 1": WEIGHT1_FORM,
-                 "level 2": LEVEL2_FORM}[kind]
-            evaluate, log_n = zeros_mod._make_evaluator(f, ctx), \
-                mp.log(f.level)
-        hw = mp.mpf("0.1")
-        t_lo, t_hi, max_len = mp.mpf(t_lo), mp.mpf(t_hi), mp.mpf(max_len)
-        mirrored = zeros_mod._mirrored_contour_sum(
-            jet, log_n, hw, t_lo, t_hi, degree, max_len)
-        full = full_contour_sum(jet, mp.mpf(0.5) - hw, mp.mpf(0.5) + hw,
-                                t_lo, t_hi, degree, max_len)
-        assert abs(mirrored - full) <= 1e-25
+            f = {"even": form_even, "odd": form_odd}[kind]
+            sides = zeros_mod._strip_sides(f, ctx)
+        t_lo, t_hi = mp.mpf(t_lo), mp.mpf(t_hi)
+        sigma = zeros_mod._SIGMA_1
+        full = full_contour_sum(sides[0], 1 - sigma, sigma, t_lo, t_hi,
+                                24, mp.mpf("0.5"), ctx)
         assert int(mp.nint(full.real)) == zeros_inside
-        count, _ = zeros_mod._winding_number(jet, log_n, hw, t_lo, t_hi)
+        count = zeros_mod._strip_count(*sides, ctx.tol, t_lo, t_hi)
         assert count == zeros_inside
+
+
+def test_strip_count_refuses_an_edge_on_a_zero(form_odd, ctx):
+    """Lambda(1/2) is exactly 0 on the odd fixture: a strip edge at t = 0
+    raises InconclusiveError instead of dividing by zero."""
+    with ctx.workprec():
+        sides = zeros_mod._strip_sides(form_odd, ctx)
+        assert sides[0](mp.mpc(0.5, 0), 0)[0] == 0
+        with pytest.raises(InconclusiveError, match="within tolerance"):
+            zeros_mod._strip_count(*sides, ctx.tol, mp.mpf(0), mp.mpf(1))
+
+
+def test_strip_count_corner_cross_check(ctx):
+    """LEVEL2_FORM's data are not modular, so its split Lambda is not
+    gamma L: the corner cross-check rejects the count."""
+    with ctx.workprec():
+        sides = zeros_mod._strip_sides(LEVEL2_FORM, ctx)
+        with pytest.raises(InconclusiveError, match=r"is not gamma\*L"):
+            zeros_mod._strip_count(*sides, ctx.tol, mp.mpf("6.25"),
+                                   mp.mpf(7))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Generate the level-1 Maass cusp fixtures shipped under fixtures/.
+"""Generate the level-1 Maass cusp fixtures in src/ltwist/fixtures/.
 
 Method: Hejhal-style two-height collocation.  Tier 1 solves a small
 self-consistency system for the first ~10 Hecke-normalized coefficients by
@@ -37,8 +37,8 @@ accepted only after the same mismatch confirms it.
 Runtime: ~3 min (odd) / ~6 min (even, includes refinement) on one core.
 
 Usage:
-    python3 tools/generate_fixture.py --parity odd  --out fixtures/level1_odd.form
-    python3 tools/generate_fixture.py --parity even --out fixtures/level1_even.form
+    python3 tools/generate_fixture.py --parity odd  --out src/ltwist/fixtures/level1_odd.form
+    python3 tools/generate_fixture.py --parity even --out src/ltwist/fixtures/level1_even.form
     python3 tools/generate_fixture.py --selftest
 """
 

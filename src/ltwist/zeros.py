@@ -455,16 +455,27 @@ def scan_zeros(f: MaassForm, t0, t1, step,
         raise ValueError("re_halfwidth must lie in (0, 0.4]")
 
     with ctx.workprec():
-        jet = _make_evaluator(f, ctx)
-        sides = _strip_sides(f, ctx)
+        jet, *sides = _strip_sides(f, ctx)
         gspec = GammaFactorSpec.from_form(f, 1)
         half = mp.mpf(1) / 2
+        values = {}
+
+        def value(s):
+            """Lambda(s), once per point in this scan: the line samples and
+            the strip counts' tracks share it wherever they meet, e.g. at
+            the window's ends."""
+            if s not in values:
+                values[s] = jet(s, 0)[0]
+            return values[s]
+
+        # the strip counts ask for order 0 only
+        sides = (lambda s, m: [value(s)], *sides)
 
         def gamma_mag(t):
             return abs(gamma_factor(gspec, mp.mpc(half, t), ctx))
 
         def sample(t):
-            return jet(mp.mpc(half, t), 0)[0] / gamma_mag(t)
+            return value(mp.mpc(half, t)) / gamma_mag(t)
 
         n_steps = max(1, int(math.ceil((t1 - t0) / step)))
         grid = [mp.mpf(t0) + (mp.mpf(t1) - mp.mpf(t0)) * i / n_steps
@@ -665,9 +676,12 @@ def _c_dual_floats(f: MaassForm, ctx: PrecisionContext) -> np.ndarray:
     return out
 
 
+@STORE.memo("big-f")
 def _big_f(f: MaassForm, z, ctx: PrecisionContext):
     """F(z): the Fourier series with the form's Whittaker profiles but the
-    D-series coefficients c(n) in place of lambda(n)."""
+    D-series coefficients c(n) in place of lambda(n).  Cached under
+    ("big-f", form digest, work_bits, z): the T = 1, 2, 3 residuals at one
+    (alpha, y) share one evaluation."""
     table = _c_table(f, ctx)
     x, y = mp.re(z), mp.im(z)
     n_cut = int(_efolds() / (2 * mp.pi * y)) + 1
@@ -689,40 +703,79 @@ def _big_f(f: MaassForm, z, ctx: PrecisionContext):
     return total
 
 
+def _contour_taus(step, reach):
+    """Node heights tau_j = j * step, |tau_j| <= reach, at working precision."""
+    h = mp.mpf(step)
+    n_nodes = int(reach / step)
+    return [j * h for j in range(-n_nodes, n_nodes + 1)]
+
+
+@STORE.memo("contour-nodes")
+def _contour_nodes(f: MaassForm, a: int, t: int, sigma, step, reach,
+                   ctx: PrecisionContext):
+    """P_f(s; a+t, t) gamma_dual^((-1)^a)(s+t) as mpc at the nodes
+    s = sigma + i tau_j, None where P = 0 (the node adds nothing).  These
+    depend on neither alpha nor y, so every twist and height reuses them."""
+    nu = f.nu.mpc(ctx)
+    dual_spec = GammaFactorSpec.from_form(dual_form(f), -1 if a % 2 else 1)
+    row = []
+    for tau in _contour_taus(step, reach):
+        s = mp.mpc(sigma, tau)
+        p_val = _p_poly(f, s, (a + t) % 2, t, nu)
+        row.append(None if p_val == 0
+                   else p_val * gamma_factor(dual_spec, s + t, ctx))
+    return row
+
+
+@STORE.memo("contour-d", by_bits=False)
+def _contour_d(f: MaassForm, beta: Fraction, t: int, sigma, step, reach,
+               ctx: PrecisionContext) -> np.ndarray:
+    """D_dual(s+t, beta, cos^(a)) at the nodes s = sigma + i tau_j, in
+    float64: row a of a (2, nodes) complex128 array.  One exponential
+    exp(-i tau_j log n) per node serves both rows."""
+    c_dual = _c_dual_floats(f, ctx)
+    n_arr = np.arange(1, c_dual.size)
+    angles = (2 * np.pi / beta.denominator) * \
+        ((n_arr * beta.numerator) % beta.denominator)
+    n_pow = n_arr.astype(np.float64) ** float(-(sigma + t))
+    rows = [c_dual[1:] * trig * n_pow
+            for trig in (np.cos(angles), -np.sin(angles))]
+    log_n = np.log(n_arr)
+    taus = _contour_taus(step, reach)
+    out = np.empty((2, len(taus)), dtype=np.complex128)
+    for j, tau in enumerate(taus):
+        node = np.exp(-1j * float(tau) * log_n)
+        for a, u in enumerate(rows):
+            out[a, j] = np.dot(u, node)
+    return out
+
+
 @STORE.memo("contour")
 def _taylor_contour(f: MaassForm, a: int, t: int, beta: Fraction, x_ratio,
                     ctx: PrecisionContext):
     """(1/2 pi i) int P_f(s; a+t, t) gamma_dual^((-1)^a)(s+t)
     D_dual(s+t, beta, cos^(a)) x_ratio^(1/2-s) ds over a vertical line in
     the absolute-convergence region (trapezoid; exponentially accurate in
-    the step, truncated where the gamma decay is ~1e-27)."""
-    c_dual = _c_dual_floats(f, ctx)
-    n_arr = np.arange(1, c_dual.size)
-    angles = (2 * np.pi / beta.denominator) * \
-        ((n_arr * beta.numerator) % beta.denominator)
-    trig = np.cos(angles) if a == 0 else -np.sin(angles)
-    u = c_dual[1:] * trig * n_arr.astype(np.float64) ** float(
-        -(_CONTOUR_SIGMA + t))
-    log_n = np.log(n_arr)
+    the step, truncated where the gamma decay is ~1e-27).
 
-    nu = f.nu.mpc(ctx)
-    dual_spec = GammaFactorSpec.from_form(dual_form(f), -1 if a % 2 else 1)
-    h = mp.mpf(_CONTOUR_STEP)
-    n_nodes = int(_CONTOUR_REACH / _CONTOUR_STEP)
+    Cached under ("contour", form digest, work_bits, a, t, beta, x_ratio).
+    It reads two node tables, both keyed on the line's placement (sigma,
+    step, reach): P gamma under ("contour-nodes", digest, work_bits, a, t,
+    ...) and the D values under ("contour-d", digest, None, beta, t, ...),
+    so only the factor x_ratio^(1/2-s) is computed here, node by node."""
+    place = (_CONTOUR_SIGMA, _CONTOUR_STEP, _CONTOUR_REACH)
+    pg = _contour_nodes(f, a, t, *place, ctx)
+    d = _contour_d(f, beta, t, *place, ctx)[a]
     log_x = mp.log(x_ratio)
 
     total = mp.mpc(0)
-    for j in range(-n_nodes, n_nodes + 1):
-        tau = j * h
-        s = mp.mpc(_CONTOUR_SIGMA, tau)
-        p_val = _p_poly(f, s, (a + t) % 2, t, nu)
-        if p_val == 0:
+    for j, tau in enumerate(_contour_taus(_CONTOUR_STEP, _CONTOUR_REACH)):
+        if pg[j] is None:
             continue
-        g_val = gamma_factor(dual_spec, s + t, ctx)
-        d_val = complex(np.dot(u, np.exp(-1j * float(tau) * log_n)))
-        total += p_val * g_val * mp.mpc(d_val) \
+        s = mp.mpc(_CONTOUR_SIGMA, tau)
+        total += pg[j] * mp.mpc(complex(d[j])) \
             * mp.exp((mp.mpf(1) / 2 - s) * log_x)
-    return total * h / (2 * mp.pi)
+    return total * mp.mpf(_CONTOUR_STEP) / (2 * mp.pi)
 
 
 def taylor_residual(f: MaassForm, alpha, y, T: int,

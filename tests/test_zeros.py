@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from ltwist import zeros as zeros_mod
@@ -428,6 +429,24 @@ def test_scan_empty_window(form_even, ctx):
     assert report.total_count_by_argument == 0
 
 
+def test_scan_evaluates_each_point_once(form_odd, ctx, monkeypatch):
+    """The strip counts' on-line track ends at t0 and t1 reuse the line
+    samples there: a zero-free odd unit window costs 14 Mellin sweeps (two
+    per sampled point, one per kernel side), and no point is swept twice."""
+    points = []
+    sweep = zeros_mod._SplitKernel.mellin
+
+    def counted(self, s, m):
+        points.append((id(self), s))
+        return sweep(self, s, m)
+
+    monkeypatch.setattr(zeros_mod._SplitKernel, "mellin", counted)
+    report = scan_zeros(form_odd, 3.25, 4.25, 0.25, ctx)
+    assert report.zeros == () and report.total_count_by_argument == 0
+    assert len(points) == 14
+    assert len(set(points)) == len(points)
+
+
 def test_scan_deterministic(form_even, ctx, scan_even_14):
     assert scan_zeros(form_even, 0, 14, 0.25, ctx) == scan_even_14
 
@@ -663,6 +682,123 @@ def test_taylor_contour_cache_hits_across_truncation_orders(form_odd, ctx,
     assert contours() == 6  # of 12 requests
     taylor_residual(form_odd, alpha, y / 2, 1, ctx)
     assert contours() == 8
+
+
+def _per_node_contour(f, a, t, beta, x_ratio, ctx):
+    """The Taylor contour as one loop over the nodes, with P, gamma and the
+    float64 D-series (its exponential included) computed afresh at every
+    node: the reference the shared node tables must reproduce bit for
+    bit."""
+    c_dual = zeros_mod._c_dual_floats(f, ctx)
+    n_arr = np.arange(1, c_dual.size)
+    angles = (2 * np.pi / beta.denominator) * \
+        ((n_arr * beta.numerator) % beta.denominator)
+    trig = np.cos(angles) if a == 0 else -np.sin(angles)
+    u = c_dual[1:] * trig * n_arr.astype(np.float64) ** float(
+        -(zeros_mod._CONTOUR_SIGMA + t))
+    log_n = np.log(n_arr)
+    nu = f.nu.mpc(ctx)
+    dual_spec = GammaFactorSpec.from_form(dual_form(f), -1 if a % 2 else 1)
+    h = mp.mpf(zeros_mod._CONTOUR_STEP)
+    n_nodes = int(zeros_mod._CONTOUR_REACH / zeros_mod._CONTOUR_STEP)
+    log_x = mp.log(x_ratio)
+    total = mp.mpc(0)
+    for j in range(-n_nodes, n_nodes + 1):
+        tau = j * h
+        s = mp.mpc(zeros_mod._CONTOUR_SIGMA, tau)
+        p_val = _p_poly(f, s, (a + t) % 2, t, nu)
+        if p_val == 0:
+            continue
+        g_val = gamma_factor(dual_spec, s + t, ctx)
+        d_val = complex(np.dot(u, np.exp(-1j * float(tau) * log_n)))
+        total += p_val * g_val * mp.mpc(d_val) \
+            * mp.exp((mp.mpf(1) / 2 - s) * log_x)
+    return total * h / (2 * mp.pi)
+
+
+def _per_node_residuals(f, alpha, y, t_max, ctx):
+    """(taylor_residual for T = 1..t_max, [((a, t, beta, x_ratio), contour)]),
+    assembled as taylor_residual does from `_per_node_contour` and an
+    uncached F."""
+    with ctx.workprec():
+        y = mp.mpf(y.numerator) / y.denominator
+        alpha_mp = mp.mpf(alpha.numerator) / alpha.denominator
+        z = mp.mpc(alpha_mp, y)
+        w = -1 / (f.level * z)
+        phase = (mp.mpc(0, 1) * abs(z) / z) ** f.weight
+        lhs = phase * mp.conj(
+            zeros_mod._big_f.__wrapped__(f, -mp.conj(w), ctx))
+        beta = Fraction(-1, f.level) / alpha
+        x_ratio = y / (f.level * alpha_mp ** 2)
+        sign = (mp.mpc(0, 1) * (1 if alpha > 0 else -1)) ** f.weight
+        rhs, residuals, contours = mp.mpc(0), [], []
+        for t in range(t_max):
+            pref = (mp.mpc(0, 2 * mp.pi) * f.level * alpha_mp) ** t \
+                / mp.factorial(t)
+            inner = mp.mpc(0)
+            for a in (0, 1):
+                i_pow = mp.mpc(1) if a == 0 else mp.mpc(0, -1)
+                contours.append(((a, t, beta, x_ratio),
+                                 _per_node_contour(f, a, t, beta, x_ratio,
+                                                   ctx)))
+                inner += i_pow * contours[-1][1]
+            rhs += pref * inner
+            residuals.append(float(abs(lhs - rhs * sign)))
+        return residuals, contours
+
+
+def test_taylor_node_tables_are_bit_identical(form_even, form_odd, ctx):
+    """Shared node tables (P gamma per (form, a, t), one exponential per node
+    per twist) and the memoised F change no bit of the residual, nor of any
+    contour (the float residual alone would hide a change far below its
+    cancellation).  T = 4 reaches rows that the T <= 3 sweeps never build.
+    BLAS may sum the D-series in another order on another machine, so both
+    sides are computed here rather than frozen."""
+    for _, f in both_forms(form_even, form_odd):
+        for alpha in (Fraction(3, 7), Fraction(-8, 19)):
+            y = abs(alpha) / 8
+            for height, t_max in ((y, 4), (y / 2, 3)):
+                residuals, contours = _per_node_residuals(f, alpha, height,
+                                                          t_max, ctx)
+                assert [taylor_residual(f, alpha, height, T, ctx)
+                        for T in range(1, t_max + 1)] == residuals
+                for args, value in contours:
+                    assert zeros_mod._taylor_contour(f, *args, ctx) == value
+
+
+def test_taylor_warm_sweep_work_counts(form_odd, ctx, monkeypatch):
+    """Once one sweep has built the node tables, a sweep at a new twist
+    makes no gamma_factor call, one np.exp per node for each (beta, t), and
+    one F evaluation per distinct (alpha, y)."""
+    cache = {key: value for key, value in STORE.entries.items()
+             if key[0] not in ("contour", "contour-d", "big-f")}
+    monkeypatch.setattr(STORE, "entries", cache)
+
+    def sweep(alpha):
+        y = alpha / 8
+        for T, height in ((1, y), (2, y), (3, y), (3, y / 2)):
+            taylor_residual(form_odd, alpha, height, T, ctx)
+
+    sweep(Fraction(3, 7))
+    calls = {"gamma": 0, "exp": 0}
+    gamma, exp = zeros_mod.gamma_factor, np.exp
+
+    def counted_gamma(*args):
+        calls["gamma"] += 1
+        return gamma(*args)
+
+    def counted_exp(*args):
+        calls["exp"] += 1
+        return exp(*args)
+
+    monkeypatch.setattr(zeros_mod, "gamma_factor", counted_gamma)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    before = sum(1 for key in cache if key[0] == "big-f")
+    sweep(Fraction(5, 11))
+    nodes = 2 * int(zeros_mod._CONTOUR_REACH / zeros_mod._CONTOUR_STEP) + 1
+    assert calls["gamma"] == 0
+    assert calls["exp"] <= nodes * 3  # one beta, t = 0, 1, 2
+    assert sum(1 for key in cache if key[0] == "big-f") - before == 2
 
 
 def test_taylor_input_validation(form_even, ctx):

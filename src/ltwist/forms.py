@@ -371,16 +371,34 @@ def hecke_coeff(f: MaassForm, n: int) -> ComplexParam:
     return result
 
 
+def least_prime_factors(X: int) -> list:
+    """[0, 1, spf(2), ..., spf(X)]: the smallest prime factor of each n, so
+    n is prime iff spf[n] == n >= 2.  Each d <= sqrt(X), taken downwards,
+    stamps its multiples from d^2: the least prime factor stamps last."""
+    spf = list(range(X + 1))
+    for d in range(math.isqrt(X), 1, -1):
+        spf[d * d::d] = [d] * ((X - d * d) // d + 1)
+    return spf
+
+
+def sieve_factorize(spf: list, n: int) -> list:
+    """[(p, j), ...] with p^j exactly dividing n, p increasing, read off
+    least_prime_factors(X) for any n <= X."""
+    out = []
+    while n > 1:
+        p, j = spf[n], 0
+        while n % p == 0:
+            n, j = n // p, j + 1
+        out.append((p, j))
+    return out
+
+
 def hecke_table(f: MaassForm, X: int) -> list:
-    """Exact [None, lambda(1), ..., lambda(X)] from a smallest-prime-factor
+    """Exact [None, lambda(1), ..., lambda(X)] from the smallest-prime-factor
     sieve: lambda(p^j m) = lambda(p^j) lambda(m) for p the least prime
     factor and p not dividing m, lambda(p^j) by the Hecke recurrence.
     MissingPrimeError names the least prime <= X not ingested."""
-    spf = list(range(X + 1))
-    for p in range(2, math.isqrt(X) + 1):
-        if spf[p] == p:
-            for m in range(p * p, X + 1, p):
-                spf[m] = min(spf[m], p)
+    spf = least_prime_factors(X)
     lam = [None, _ONE] + [None] * (X - 1)
     for n in range(2, X + 1):
         p = spf[n]

@@ -177,10 +177,14 @@ class ComplexParam:
         raise TypeError(f"cannot coerce {type(value).__name__} to ComplexParam")
 
     def mpc(self, ctx: PrecisionContext | None = None) -> mp.mpc:
-        ctx = ctx or _DEFAULT_CTX
-        with ctx.workprec():
-            return mp.mpc(mp.mpf(self.re.numerator) / self.re.denominator,
-                          mp.mpf(self.im.numerator) / self.im.denominator)
+        with (ctx or _DEFAULT_CTX).workprec():
+            return self.rounded()
+
+    def rounded(self) -> mp.mpc:
+        """The value at the precision in force: inside ctx.workprec() it
+        equals mpc(ctx) bit for bit, without entering a context per call."""
+        return mp.mpc(mp.mpf(self.re.numerator) / self.re.denominator,
+                      mp.mpf(self.im.numerator) / self.im.denominator)
 
     def conjugate(self) -> "ComplexParam":
         return ComplexParam(self.re, -self.im)

@@ -12,6 +12,7 @@ continuation into the strip is the business of the completed function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .dirichlet import (DirichletCharacter, characters, factorize, is_prime,
 from .errors import (DegenerateError, MissingPrimeError, SingularError,
                      TailError)
 from .forms import (KS_THETA, MaassForm, hecke_coeff, hecke_table,
-                    prime_power_a)
+                    least_prime_factors, prime_power_a, sieve_factorize)
 from .precision import (STORE, ComplexParam, PrecisionContext,
                         default_context, to_mpc)
 
@@ -126,13 +127,13 @@ def c_coeffs(f: MaassForm, X: int,
     """Numeric table of c(n), n <= X, assembled from the exact decomposition."""
     ctx = ctx or default_context()
     with ctx.workprec():
-        lam = [None] + [v.mpc(ctx) for v in hecke_table(f, X)[1:]]
+        lam = [None] + [v.rounded() for v in hecke_table(f, X)[1:]]
         values = {n: mp.mpc(0) for n in range(1, X + 1)}
         for p in _primes(f, X):
             logp2 = mp.log(p) ** 2
             d, m = p, 1
             while d <= X:
-                a_d = prime_power_a(f, p, m).mpc(ctx)
+                a_d = prime_power_a(f, p, m).rounded()
                 weight = m * logp2 * a_d
                 for t in range(1, X // d + 1):
                     values[t * d] += weight * lam[t]
@@ -144,21 +145,22 @@ def c_coeffs(f: MaassForm, X: int,
 # Truncated evaluation with certified tails
 
 
-def _sieve_d(X: int) -> list:
-    d = [0] * (X + 1)
-    for i in range(1, X + 1):
-        for j in range(i, X + 1, i):
-            d[j] += 1
-    return d
-
-
-def _sieve_d3(X: int) -> list:
-    d = _sieve_d(X)
-    d3 = [0] * (X + 1)
-    for i in range(1, X + 1):
-        for j in range(i, X + 1, i):
-            d3[j] += d[i]
-    return d3
+def _power_sweep(X: int, x):
+    """(n, sieve_factorize(n), n^(-x)) for n = 1..X.  n^(-x) is the product
+    of p^(-j x) over the p^j exactly dividing n: mp.power runs once per
+    prime p <= X, the prime powers by repeated multiplication, and nothing
+    per n is kept."""
+    spf = least_prime_factors(X)
+    powers = {}
+    for p in range(2, X + 1):
+        if spf[p] == p:
+            q, powers[p] = p, mp.power(p, -x)
+            while q * p <= X:
+                powers[q * p] = powers[q] * powers[p]
+                q *= p
+    for n in range(1, X + 1):
+        parts = sieve_factorize(spf, n)
+        yield n, parts, math.prod(powers[p ** j] for p, j in parts)
 
 
 @STORE.memo("tail")
@@ -168,29 +170,37 @@ def _tail_bound(kind: str, X: int, sigma, ctx: PrecisionContext):
     lambda: |lambda(n)| <= d(n) n^theta        -> zeta(u)^2 partial tail
     a:      |a(n)|      <= 2 n^theta           -> 2 zeta(u) partial tail
     c:      |c(n)| <= 2 d_3(n) (log n)^2 n^theta -> 2 (zeta^3)'' partial tail
-    with u = sigma - theta, theta = 7/64.
+    with u = sigma - theta, theta = 7/64: the weight is d_k(n) with k = 2,
+    1, 3, times (log n)^2 for c.  The weights do not depend on sigma: d_k is
+    multiplicative, d_k(p^j) = C(j + k - 1, j), and log n is the sum of
+    j log p, both read off each n's factorisation.  Only zeta(u), its
+    derivatives and n^(-u) (from _power_sweep) do.  Rounding in the partial
+    sum, about 1e-45 absolute at the guarded precision, lies far below the
+    slack of these weights, which overstate |coeff(n)| many times over.
     """
     theta = mp.mpf(KS_THETA.numerator) / KS_THETA.denominator
     u = sigma - theta
     if u <= 1:
         raise ValueError("tail bound needs Re(s) > 1 + 7/64")
     if kind == "lambda":
-        full = mp.zeta(u) ** 2
-        weights = _sieve_d(X)
-        scale = mp.mpf(1)
+        full, scale, k = mp.zeta(u) ** 2, 1, 2
     elif kind == "a":
-        full = mp.zeta(u)
-        weights = [1] * (X + 1)
-        scale = mp.mpf(2)
+        full, scale, k = mp.zeta(u), 2, 1
     else:
         z = mp.zeta(u)
         z1 = mp.zeta(u, derivative=1)
         z2 = mp.zeta(u, derivative=2)
-        full = 3 * z ** 2 * z2 + 6 * z * z1 ** 2
-        d3 = _sieve_d3(X)
-        weights = [0, 0] + [d3[n] * mp.log(n) ** 2 for n in range(2, X + 1)]
-        scale = mp.mpf(2)
-    partial = mp.fsum(weights[n] * mp.power(n, -u) for n in range(1, X + 1))
+        full, scale, k = 3 * z ** 2 * z2 + 6 * z * z1 ** 2, 2, 3
+    log_p = functools.cache(mp.log)
+
+    def weight(parts):
+        d_k = math.prod(math.comb(j + k - 1, j) for _, j in parts)
+        if kind != "c":
+            return d_k
+        return d_k * sum(j * log_p(p) for p, j in parts) ** 2
+
+    partial = mp.fsum(weight(parts) * power
+                      for _, parts, power in _power_sweep(X, u))
     return max(scale * (full - partial), mp.mpf(0))
 
 
@@ -229,9 +239,36 @@ def _check_halfplane(kind: str, sigma) -> None:
                 "lambda/a-series evaluation requires Re(s) > 3/2 + 7/64")
 
 
-def _table_value(table: CoeffTable, n: int, ctx: PrecisionContext):
-    v = table.values[n]
-    return v.mpc(ctx) if isinstance(v, ComplexParam) else v
+def _sweep(table: CoeffTable, s, q: int, shapes, ctx: PrecisionContext):
+    """([sum_{n<=X} coeff(n) w(n) n^(-s) for w in shapes], certified tail),
+    inside ctx.workprec().  Every weight w is q-periodic, given by its
+    values at the residues 0..min(q, X+1)-1.  One pass over n sums the
+    terms of each residue class; each shape then weighs those class sums.
+    n^(-s) comes from _power_sweep, each exact coefficient is rounded once
+    at the precision in force.  TailError when the tail exceeds ctx.tol."""
+    X = table.bound
+    _check_halfplane(table.kind, s.real)
+    tail = _tail_bound(table.kind, X, s.real, ctx)
+    if tail > ctx.tol:
+        raise TailError(
+            f"certified tail {mp.nstr(tail, 3)} exceeds tol {ctx.tol} "
+            f"at X={X}, Re(s)={mp.nstr(s.real, 6)}")
+    classes = [mp.mpc(0)] * min(q, X + 1)
+    for n, _, power in _power_sweep(X, s):
+        coeff = table.values[n]
+        if coeff:
+            if isinstance(coeff, ComplexParam):
+                coeff = coeff.rounded()
+            classes[n % q] += coeff * power
+    return [mp.fsum(w * z for w, z in zip(shape, classes))
+            for shape in shapes], tail
+
+
+def _trig_weights(j: int, alpha: Fraction, X: int) -> list:
+    """cos^(j)(2 pi n alpha) at the residues n mod alpha's denominator."""
+    a, q = alpha.numerator, alpha.denominator
+    return [trig_factor(j, 2 * mp.pi * (r * a % q) / q)
+            for r in range(min(q, X + 1))]
 
 
 def eval_series(table: CoeffTable, s, twist: TwistSpec | None,
@@ -248,24 +285,12 @@ def eval_series(table: CoeffTable, s, twist: TwistSpec | None,
                 f"{twist.series_kind}-twist needs a {want!r} table, "
                 f"got {table.kind!r}")
     with ctx.workprec():
-        s = to_mpc(s, ctx)
-        _check_halfplane(table.kind, s.real)
-        total = mp.mpc(0)
-        for n in range(1, table.bound + 1):
-            coeff = _table_value(table, n, ctx)
-            if coeff == 0:
-                continue
-            term = coeff * mp.power(n, -s)
-            if twist is not None:
-                x = 2 * mp.pi * n * mp.mpf(twist.alpha.numerator) \
-                    / twist.alpha.denominator
-                term *= trig_factor(twist.deriv_order, x)
-            total += term
-        tail = _tail_bound(table.kind, table.bound, s.real, ctx)
-        if tail > ctx.tol:
-            raise TailError(
-                f"certified tail {mp.nstr(tail, 3)} exceeds tol {ctx.tol} "
-                f"at X={table.bound}, Re(s)={mp.nstr(s.real, 6)}")
+        if twist is None:
+            q, shape = 1, [1]
+        else:
+            q = twist.alpha.denominator
+            shape = _trig_weights(twist.deriv_order, twist.alpha, table.bound)
+        (total,), tail = _sweep(table, to_mpc(s, ctx), q, [shape], ctx)
         return SeriesValue(total, tail, table.bound)
 
 
@@ -274,23 +299,8 @@ def eval_char_series(table: CoeffTable, s, chi: DirichletCharacter,
     """Multiplicative twist sum_{n<=X} coeff(n) chi(n) n^(-s), certified tail."""
     ctx = ctx or default_context()
     with ctx.workprec():
-        s = to_mpc(s, ctx)
-        _check_halfplane(table.kind, s.real)
-        chi_vals = chi.values(ctx)
-        q = chi.modulus
-        total = mp.mpc(0)
-        for n in range(1, table.bound + 1):
-            cv = chi_vals[n % q]
-            if cv == 0:
-                continue
-            coeff = _table_value(table, n, ctx)
-            if coeff == 0:
-                continue
-            total += coeff * cv * mp.power(n, -s)
-        tail = _tail_bound(table.kind, table.bound, s.real, ctx)
-        if tail > ctx.tol:
-            raise TailError(
-                f"certified tail {mp.nstr(tail, 3)} exceeds tol {ctx.tol}")
+        (total,), tail = _sweep(table, to_mpc(s, ctx), chi.modulus,
+                                [chi.values(ctx)], ctx)
         return SeriesValue(total, tail, table.bound)
 
 
@@ -305,7 +315,8 @@ def twist_decomposition(f: MaassForm, q: int, s,
     sum over even non-principal chi of conj(eps_chi) D(s,chi)]|.
 
     Both sides truncate at the same X, so the residual reflects only the
-    expansion of cos(2 pi n / q) into characters plus rounding.
+    expansion of cos(2 pi n / q) into characters plus rounding.  One sweep
+    over n gives all 3 + (q - 3)/2 sums.
     """
     ctx = ctx or default_context()
     if not is_prime(q) or f.level % q == 0:
@@ -314,18 +325,16 @@ def twist_decomposition(f: MaassForm, q: int, s,
         X = min(f.coeff_bound, 2000)
     table = c_coeffs(f, X, ctx)
     with ctx.workprec():
-        lhs = eval_series(table, s,
-                          TwistSpec(Fraction(1, q), 0, "D"), ctx).value
-        plain = eval_series(table, s, None, ctx).value
         chars = characters(q)
-        chi0_sum = eval_char_series(table, s, chars[0], ctx).value
+        even = [chi for chi in chars[1:] if chi.parity == 1]
+        shapes = [_trig_weights(0, Fraction(1, q), X), [1] * q]
+        shapes += [chi.values(ctx) for chi in [chars[0]] + even]
+        (lhs, plain, chi0_sum, *twisted), _ = _sweep(
+            table, to_mpc(s, ctx), q, shapes, ctx)
         rhs = plain - mp.mpf(q) / (q - 1) * chi0_sum
         scale = mp.sqrt(q) / (q - 1)
-        for chi in chars[1:]:
-            if chi.parity != 1:
-                continue
-            twisted = eval_char_series(table, s, chi, ctx).value
-            rhs += scale * mp.conj(root_number(chi, ctx)) * twisted
+        for chi, value in zip(even, twisted):
+            rhs += scale * mp.conj(root_number(chi, ctx)) * value
         return abs(lhs - rhs)
 
 
@@ -411,7 +420,9 @@ def rs_average(f: MaassForm, x: int,
     and the first prime with |lambda(q)| < 2."""
     ctx = ctx or default_context()
     primes = [p for p, _ in f.prime_coeffs if p <= x]
-    if not primes or primes != [p for p in range(2, x + 1) if is_prime(p)]:
+    if not primes or primes != [p for p, least in
+                                enumerate(least_prime_factors(x))
+                                if p == least > 1]:
         raise MissingPrimeError(f"need all primes <= {x} ingested")
     with ctx.workprec():
         total = mp.mpf(0)

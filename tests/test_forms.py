@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ltwist.errors import InvariantError, MissingPrimeError, ParseError
+from ltwist.dirichlet import factorize
 from ltwist.forms import (FormFixture, MaassForm, Nebentypus, dual_form,
                           hecke_coeff, hecke_table, kim_sarnak_bound,
-                          parse_fixture, parse_form, prime_power_a,
-                          serialize_form)
+                          least_prime_factors, parse_fixture, parse_form,
+                          prime_power_a, serialize_form, sieve_factorize)
 from ltwist.precision import ComplexParam
 
 PRIMES_TO_97 = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
@@ -259,6 +260,14 @@ class TestHecke:
                 assert table[m] * table[n] == rhs(m, n,
                                                   lambda k: hecke_coeff(f, k))
                 checked += 1
+
+    def test_sieve_matches_trial_division(self):
+        for X in (0, 1, 2, 3, 4, 25, 26, 1000):
+            spf = least_prime_factors(X)
+            assert spf[:2] == [0, 1][:X + 1] and len(spf) == X + 1
+            for n in range(2, X + 1):
+                assert sieve_factorize(spf, n) == factorize(n)
+                assert spf[n] == factorize(n)[0][0]
 
     def test_table_matches_hecke_coeff(self, minimal_form):
         table = hecke_table(minimal_form, minimal_form.coeff_bound)

@@ -8,11 +8,11 @@ import pytest
 
 from ltwist.errors import (DegenerateError, MissingPrimeError, TailError)
 from ltwist.forms import parse_form
-from ltwist.precision import ComplexParam, PrecisionContext
-from ltwist.series import (CoeffTable, TwistSpec, a_table, c_coeffs,
-                           c_exact_parts, eval_char_series, eval_series,
-                           lambda_table, principal_twist, rs_average,
-                           trig_factor, twist_decomposition,
+from ltwist.precision import STORE, ComplexParam, PrecisionContext
+from ltwist.series import (CoeffTable, TwistSpec, _tail_bound, a_table,
+                           c_coeffs, c_exact_parts, eval_char_series,
+                           eval_series, lambda_table, principal_twist,
+                           rs_average, trig_factor, twist_decomposition,
                            vandermonde_coeffs)
 from ltwist.dirichlet import characters
 from ltwist.forms import hecke_coeff, prime_power_a
@@ -225,6 +225,160 @@ class TestEvalSeries:
             want = mp.fsum(lt.values[n].mpc(loose) * mp.power(n, -s)
                            for n in range(1, 201) if n % q)
             assert abs(got - want) < mp.mpf(2) ** -110
+
+
+class TestPreparedSweep:
+    """The one sweep behind eval_series, eval_char_series and
+    twist_decomposition against the per-term loop it replaced: mp.power and
+    the trig factor at every n, and the tail's partial sum over divisor-count
+    sieves with mp.log(n) per term."""
+
+    FREE = PrecisionContext(128, tol=1.0)
+    S_PLAIN = mp.mpc("4.5", "1.25")
+    S_TWIST = mp.mpc("5.5", "-2")
+    S_CHAR = mp.mpc("3.5", "0.75")
+    ALPHAS = (Fraction(3, 7), Fraction(-8, 19), Fraction(5, 23))
+
+    @staticmethod
+    def reference_tail(kind, X, sigma):
+        u = sigma - mp.mpf(7) / 64
+        d = [0] * (X + 1)
+        for i in range(1, X + 1):
+            for j in range(i, X + 1, i):
+                d[j] += 1
+        if kind == "lambda":
+            full, scale, weights = mp.zeta(u) ** 2, 1, d
+        elif kind == "a":
+            full, scale, weights = mp.zeta(u), 2, [1] * (X + 1)
+        else:
+            d3 = [0] * (X + 1)
+            for i in range(1, X + 1):
+                for j in range(i, X + 1, i):
+                    d3[j] += d[i]
+            z, z1, z2 = (mp.zeta(u), mp.zeta(u, derivative=1),
+                         mp.zeta(u, derivative=2))
+            full, scale = 3 * z ** 2 * z2 + 6 * z * z1 ** 2, 2
+            weights = [0, 0] + [d3[n] * mp.log(n) ** 2
+                                for n in range(2, X + 1)]
+        partial = mp.fsum(weights[n] * mp.power(n, -u)
+                          for n in range(1, X + 1))
+        return max(scale * (full - partial), mp.mpf(0))
+
+    @staticmethod
+    def reference_sums(table, s, weights, ctx):
+        """coeff(n) mp.power(n, -s) weight(n) summed over n <= X, for each
+        weight: one mp.power per n, shared by the weights."""
+        totals = [mp.mpc(0)] * len(weights)
+        for n in range(1, table.bound + 1):
+            coeff = table.values[n]
+            if isinstance(coeff, ComplexParam):
+                coeff = coeff.mpc(ctx)
+            if coeff == 0:
+                continue
+            term = coeff * mp.power(n, -s)
+            for i, weight in enumerate(weights):
+                w = weight(n)
+                if w != 0:
+                    totals[i] += term * w
+        return totals
+
+    @staticmethod
+    def close(got, want, rel):
+        return abs(got - want) <= rel * abs(want)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("bound", ["fixture", 400])
+    def test_matches_per_term_loop(self, request, parity, bound):
+        f = request.getfixturevalue(f"form_{parity}")
+        X = f.coeff_bound if bound == "fixture" else bound
+        ctx = self.FREE
+        lt, ct = lambda_table(f, X), c_coeffs(f, X, ctx)
+        chars = characters(7)
+        chis = (chars[0], next(c for c in chars[1:] if c.parity == 1))
+        twists = [TwistSpec(alpha, j) for alpha in self.ALPHAS
+                  for j in range(4)]
+
+        def trig(twist):
+            a, b = twist.alpha.numerator, twist.alpha.denominator
+            return lambda n: trig_factor(twist.deriv_order,
+                                         2 * mp.pi * n * mp.mpf(a) / b)
+
+        def char(chi):
+            vals = chi.values(ctx)
+            return lambda n: vals[n % chi.modulus]
+
+        with ctx.workprec():
+            got = ([(eval_series(lt, self.S_PLAIN, None, ctx), "lambda")]
+                   + [(eval_series(ct, self.S_TWIST, tw, ctx), "c")
+                      for tw in twists]
+                   + [(eval_char_series(ct, self.S_CHAR, chi, ctx), "c")
+                      for chi in chis])
+            want = (self.reference_sums(lt, self.S_PLAIN, [lambda n: 1], ctx)
+                    + self.reference_sums(ct, self.S_TWIST,
+                                          [trig(tw) for tw in twists], ctx)
+                    + self.reference_sums(ct, self.S_CHAR,
+                                          [char(chi) for chi in chis], ctx))
+            sigmas = [self.S_PLAIN.real] + [self.S_TWIST.real] * 12 \
+                + [self.S_CHAR.real] * 2
+            tails = {}
+            for (value, kind), ref, sigma in zip(got, want, sigmas):
+                assert value.terms == X
+                assert self.close(value.value, ref, mp.mpf("1e-40"))
+                if (kind, sigma) not in tails:
+                    tails[kind, sigma] = self.reference_tail(kind, X, sigma)
+                assert self.close(value.tail_bound, tails[kind, sigma],
+                                  mp.mpf("1e-30"))
+            for sigma in (self.S_PLAIN.real, mp.mpf(3)):
+                assert self.close(_tail_bound("a", X, sigma, ctx),
+                                  self.reference_tail("a", X, sigma),
+                                  mp.mpf("1e-30"))
+        for q in (5, 7):
+            assert twist_decomposition(f, q, mp.mpc(3, 1), ctx, X=X) <= 1e-40
+
+    def test_work_counts(self, form_odd, monkeypatch):
+        """With the tail cached, one eval_series calls mp.power once per
+        prime <= X; one twist_decomposition does the same for all of its
+        sums.  Neither leaves a per-n list in STORE."""
+        ctx, X = self.FREE, form_odd.coeff_bound
+        lt = lambda_table(form_odd, X)
+        ct = c_coeffs(form_odd, X, ctx)
+        twist = TwistSpec(Fraction(3, 7), 1)
+        eval_series(lt, self.S_PLAIN, None, ctx)
+        eval_series(ct, self.S_TWIST, twist, ctx)
+        twist_decomposition(form_odd, 7, mp.mpc(3, 1), ctx)
+        before = set(STORE.entries)
+        calls = []
+        power = mp.power
+
+        def counting(*args):
+            calls.append(args)
+            return power(*args)
+
+        monkeypatch.setattr(mp, "power", counting)
+        for table, s, tw in ((lt, self.S_PLAIN, None),
+                             (ct, self.S_TWIST, twist)):
+            calls.clear()
+            eval_series(table, s, tw, ctx)
+            assert len(calls) == 1229   # the primes <= 10006
+        calls.clear()
+        twist_decomposition(form_odd, 7, mp.mpc(3, 1), ctx)
+        assert len(calls) == 303   # the primes <= 2000
+        calls.clear()
+        twist_decomposition(form_odd, 11, mp.mpc("3.25", 2), ctx)
+        with ctx.workprec():
+            tail = _tail_bound("c", 2000, mp.mpf("3.25"), ctx)
+        assert len(calls) == 2 * 303   # a new sigma: the tail's sweep too
+        new = [k for k in STORE.entries if k not in before]
+        assert [k[:2] for k in new] == [("tail", "c")]
+        assert STORE.entries[new[0]] is tail
+
+    def test_tail_error_names_cutoff_and_abscissa(self, form, ctx):
+        ct = c_coeffs(form, 200, ctx)
+        chi = characters(5)[0]
+        for call in (lambda: eval_series(ct, mp.mpf(3), None, ctx),
+                     lambda: eval_char_series(ct, mp.mpf(3), chi, ctx)):
+            with pytest.raises(TailError, match=r"at X=200, Re\(s\)=3\.0$"):
+                call()
 
 
 class TestTwistDecomposition:
